@@ -1362,8 +1362,8 @@ fn fleet_trace(num_requests: usize, arrivals_per_mcycle: f64, seed: u64) -> Requ
 
 /// The fleet configuration of the experiments: paper-default nodes, a
 /// single-layer `Bc = 64` deployment point matched to `fleet_trace`'s
-/// request shape, and the fleet defaults (calendar event queue, 64Ki-cycle
-/// epochs, default fabric).
+/// request shape, and the fleet defaults (64Ki-cycle epochs, default
+/// fabric).
 pub fn fleet_config(nodes: usize, instances_per_node: usize) -> FleetConfig {
     let mut cfg = FleetConfig::new(HwConfig::paper_default(), nodes, instances_per_node);
     cfg.serve.op = OperatingPoint::single(0.25, 64);

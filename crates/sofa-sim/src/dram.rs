@@ -2,9 +2,9 @@
 //!
 //! All requesters contend for one off-chip channel: the prediction stage
 //! streams low-precision keys, the KV path fetches the RASS-deduplicated
-//! selected vectors, and the formal stage writes outputs back. In
-//! multi-instance simulation every instance's four stages map to their own
-//! ports, so one channel arbitrates across all concurrent requests. Requests
+//! selected vectors, and the formal stage writes outputs back. Every
+//! instance's four stages map to their own ports, so one channel
+//! arbitrates across all concurrent requests. Requests
 //! queue per requester port; when the channel is free the next request is
 //! chosen round-robin across ports, occupies the channel for
 //! `command_cycles + bytes / bytes_per_cycle` and delivers its data one
@@ -65,8 +65,8 @@ pub fn calibrate_dram_command_cycles(burst_latency: u64, bytes_per_cycle: f64) -
 /// One queued DRAM request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramRequest {
-    /// Requesting port. Single-pipeline simulation uses the stage index;
-    /// multi-instance simulation uses `instance * 4 + stage`.
+    /// Requesting port: `instance * 4 + stage` (the stage index alone for
+    /// a one-instance run).
     pub port: usize,
     /// Stage the request belongs to (0 = predict … 3 = formal).
     pub stage: usize,

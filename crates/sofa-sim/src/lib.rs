@@ -11,16 +11,18 @@
 //! * [`pingpong`] — double-buffered SRAM banks with fill/drain occupancy.
 //! * [`dram`] — shared DRAM channel: per-port queues, round-robin
 //!   arbitration, bandwidth-limited transfers, per-burst latency.
-//! * [`sim`] — [`CycleSim`]: the event loop driving per-tile work descriptors
-//!   (from `sofa_hw::descriptor`) through the four stages.
-//! * [`multi`] — [`MultiPipelineSim`]: several pipeline instances, each with
-//!   its own ping-pong buffer pool, sharing one DRAM channel; request streams
-//!   are submitted reactively so a serving scheduler (`sofa-serve`) can feed
-//!   admission decisions back into simulated time.
+//! * [`sim`] — [`CycleSim`]: lowers a task into per-tile work descriptors
+//!   (from `sofa_hw::descriptor`) and stage cycles, and replays them on a
+//!   one-instance [`MultiPipelineSim`].
+//! * [`multi`] — [`MultiPipelineSim`]: the one event loop. Several pipeline
+//!   instances, each with its own ping-pong buffer pool, share one DRAM
+//!   channel; request streams are submitted reactively so a serving
+//!   scheduler (`sofa-serve`) can feed admission decisions back into
+//!   simulated time.
 //! * [`report`] — [`CycleReport`]: per-stage busy/stall accounting, DRAM and
 //!   buffer statistics, a stage-by-stage timeline, and the
 //!   [`CycleComparison`] cross-check against the analytic `SimReport`.
-//! * [`tracks`] — the trace track layout both simulators use when recording
+//! * [`tracks`] — the trace track layout the simulator uses when recording
 //!   into a `sofa_obs::TraceRecorder` (per-stage busy/stall spans, DRAM
 //!   queue-depth and ping-pong occupancy counters, in simulated cycles).
 //!
@@ -45,7 +47,6 @@
 //! assert!(cmp.analytic_cycles > 0.0);
 //! ```
 
-pub mod calendar;
 pub mod dram;
 pub mod event;
 pub mod fleet;
@@ -55,9 +56,7 @@ pub mod report;
 pub mod sim;
 pub mod tracks;
 
-pub use calendar::CalendarQueue;
 pub use dram::calibrate_dram_command_cycles;
-pub use event::QueueKind;
 pub use fleet::{
     Fabric, FabricParams, FabricReport, FleetCompletion, FleetSim, FleetSimReport, NodeSim,
 };

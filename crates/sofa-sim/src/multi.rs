@@ -23,10 +23,10 @@
 //! two runs over the same submissions are bit-identical.
 
 use crate::dram::{DramChannel, DramRequest};
-use crate::event::SimQueue;
+use crate::event::EventQueue;
 use crate::pingpong::PingPongBuffer;
-use crate::report::{DramActivity, StageActivity};
-use crate::sim::{read_bytes, PipelineJob, SimParams, STAGES};
+use crate::report::{DramActivity, StageActivity, TimelineEntry};
+use crate::sim::{PipelineJob, SimParams, STAGES};
 use crate::tracks::{announce_pipeline, bank_track, PID_SHARED_DRAM, TID_BANK_BASE};
 use sofa_hw::config::HwConfig;
 use sofa_hw::descriptor::TileWork;
@@ -50,6 +50,16 @@ enum MultiEvent {
         tile: usize,
         write: bool,
     },
+}
+
+/// Which stage a DRAM read feeds, per tile.
+fn read_bytes(work: &TileWork, stage: usize) -> u64 {
+    match stage {
+        0 => work.pred_read_bytes,
+        2 => work.kv_read_bytes,
+        3 => work.extra_formal_read_bytes,
+        _ => 0,
+    }
 }
 
 /// One tile of one request in an instance's stream.
@@ -217,10 +227,13 @@ pub struct MultiReport {
 pub struct MultiPipelineSim {
     params: SimParams,
     instances: Vec<Instance>,
-    queue: SimQueue<MultiEvent>,
+    queue: EventQueue<MultiEvent>,
     dram: DramChannel,
     end_time: u64,
     requests_completed: Vec<usize>,
+    /// Every stage start in start order, recorded only when `Some` — which
+    /// only [`crate::CycleSim`] sets, for [`crate::CycleReport::timeline`].
+    pub(crate) timeline: Option<Vec<TimelineEntry>>,
     obs: TraceRecorder,
     /// Trace pid of instance 0 (instance `i` records at `pid_base + i`).
     pid_base: u64,
@@ -243,7 +256,7 @@ impl MultiPipelineSim {
             instances: (0..instances)
                 .map(|_| Instance::new(params.buffer_depth))
                 .collect(),
-            queue: SimQueue::new(params.queue_kind),
+            queue: EventQueue::new(),
             dram: DramChannel::with_timing(
                 instances * STAGES,
                 bytes_per_cycle,
@@ -253,6 +266,7 @@ impl MultiPipelineSim {
             ),
             end_time: 0,
             requests_completed: vec![0; instances],
+            timeline: None,
             obs: TraceRecorder::disabled(),
             pid_base: 0,
             dram_pid: PID_SHARED_DRAM,
@@ -343,10 +357,16 @@ impl MultiPipelineSim {
     ///
     /// # Panics
     ///
-    /// Panics if `inst` does not exist or `job` has no tiles.
+    /// Panics if `inst` does not exist, `job` has no tiles, or `job` has a
+    /// different number of work descriptors than cycle rows.
     pub fn submit(&mut self, inst: usize, request: u64, job: &PipelineJob, now: u64) {
         assert!(inst < self.instances.len(), "no such instance");
         assert!(!job.work.is_empty(), "cannot submit an empty job");
+        assert_eq!(
+            job.work.len(),
+            job.cycles.len(),
+            "job has mismatched work and cycles lengths"
+        );
         let stage_was_drained: [bool; STAGES] = {
             let ins = &self.instances[inst];
             std::array::from_fn(|s| !ins.busy[s] && ins.next_tile[s] == ins.stream_len())
@@ -668,6 +688,14 @@ impl MultiPipelineSim {
                 ],
             );
         }
+        if let Some(timeline) = &mut self.timeline {
+            timeline.push(TimelineEntry {
+                stage,
+                tile,
+                start: now,
+                end,
+            });
+        }
         self.queue.push(
             end,
             MultiEvent::StageDone {
@@ -691,31 +719,6 @@ mod tests {
 
     fn small_job(sim: &CycleSim) -> PipelineJob {
         sim.job(&small_task(), None)
-    }
-
-    #[test]
-    fn one_instance_matches_the_single_pipeline_engine() {
-        // With one instance and one job submitted at time zero the multi
-        // simulator must reproduce CycleSim exactly: same event structure,
-        // same buffers, same arbitration.
-        let sim = CycleSim::new(HwConfig::small());
-        let single = sim.run(&small_task());
-        let mut multi = MultiPipelineSim::new(sim.accel.config(), 1, sim.params);
-        multi.submit(0, 7, &small_job(&sim), 0);
-        let done = multi.run_to_idle();
-        let report = multi.report();
-        assert_eq!(report.total_cycles, single.total_cycles);
-        assert_eq!(report.instances[0].stages, single.stages);
-        assert_eq!(report.dram.bytes_read, single.dram.bytes_read);
-        assert_eq!(report.dram.bytes_written, single.dram.bytes_written);
-        assert_eq!(done.len(), 1);
-        assert_eq!(
-            done[0].1,
-            Completion {
-                instance: 0,
-                request: 7
-            }
-        );
     }
 
     #[test]
@@ -881,5 +884,15 @@ mod tests {
             },
             0,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched work and cycles")]
+    fn job_with_mismatched_work_and_cycles_panics() {
+        let sim = CycleSim::new(HwConfig::small());
+        let mut job = small_job(&sim);
+        job.cycles.pop();
+        let mut m = MultiPipelineSim::new(sim.accel.config(), 1, sim.params);
+        m.submit(0, 0, &job, 0);
     }
 }

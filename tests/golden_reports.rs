@@ -87,6 +87,104 @@ fn serve_adaptive_json_is_byte_stable() {
     assert_matches_golden("serve_adaptive.json", &table.to_json());
 }
 
+/// Exact `CycleReport`s, one JSON object per (task, `SimParams`) case:
+/// every field, `f64`s in round-trip `{:?}` form, and the timeline as its
+/// length plus an order-sensitive FNV-1a checksum of its entries. Any event
+/// core change that moves a cycle, stall, occupancy or timeline entry fails.
+#[test]
+fn cycle_sim_exact_json_is_byte_stable() {
+    use sofa_core::tiling::TileSelectionStats;
+    use sofa_core::topk::TopKMask;
+    use sofa_hw::accel::{AttentionTask, SofaAccelerator};
+    use sofa_hw::config::HwConfig;
+    use sofa_sim::{CycleSim, SimParams};
+
+    let (small, paper) = (HwConfig::small(), HwConfig::paper_default());
+    let rows: Vec<Vec<usize>> = (0..16).map(|_| (0..64).collect()).collect();
+    // Every query's 64 selections crammed into the first two tiles.
+    let skewed = TileSelectionStats::from_mask(&TopKMask::new(512, rows), 32);
+    let tasks = [
+        (small, AttentionTask::new(16, 512, 256, 4, 0.25, 32), None),
+        (small, AttentionTask::new(8, 96, 64, 2, 0.01, 32), None),
+        (small, AttentionTask::new(8, 48, 64, 2, 0.5, 64), None),
+        (small, AttentionTask::new(1, 256, 128, 2, 0.1, 16), None),
+        (small, AttentionTask::new(24, 384, 128, 2, 0.9, 32), None),
+        (small, AttentionTask::new(4, 1024, 256, 4, 0.05, 64), None),
+        (paper, AttentionTask::new(1, 1024, 1024, 8, 0.25, 16), None),
+        (paper, AttentionTask::new(16, 1024, 1024, 8, 0.5, 32), None),
+        (paper, AttentionTask::new(64, 1024, 1024, 8, 0.1, 16), None),
+        (
+            paper,
+            AttentionTask::new(128, 1024, 1024, 8, 0.25, 16),
+            None,
+        ),
+        (paper, AttentionTask::new(32, 512, 512, 4, 1.0, 64), None),
+        (paper, AttentionTask::new(8, 2048, 512, 4, 0.1, 128), None),
+        (
+            small,
+            AttentionTask::new(16, 512, 256, 4, 0.125, 32),
+            Some(&skewed),
+        ),
+    ];
+    // (buffer_depth, prefetch_depth, dram_command_cycles, dram_age_threshold,
+    //  min_tile_cycles)
+    let params = [
+        (2, 2, 0, u64::MAX, 1),
+        (1, 0, 0, u64::MAX, 1),
+        (3, 3, 0, u64::MAX, 1),
+        (2, 1, 32, u64::MAX, 1),
+        (1, 3, 0, 1, 1),
+        (3, 0, 32, 1, 1),
+        (2, 2, 0, u64::MAX, 32),
+        (1, 1, 32, 1, 32),
+    ];
+    let mut lines = Vec::new();
+    for (ti, (cfg, task, stats)) in tasks.iter().enumerate() {
+        for (pi, &(buffer_depth, prefetch_depth, cmd, age, floor)) in params.iter().enumerate() {
+            let params = SimParams {
+                buffer_depth,
+                prefetch_depth,
+                dram_command_cycles: cmd,
+                dram_age_threshold: age,
+                min_tile_cycles: floor,
+                ..SimParams::default()
+            };
+            let sim = CycleSim::from_accelerator(SofaAccelerator::new(*cfg), params);
+            let r = sim.run_with_stats(task, *stats);
+            let fnv = r
+                .timeline
+                .iter()
+                .flat_map(|e| [e.stage as u64, e.tile as u64, e.start, e.end])
+                .flat_map(u64::to_le_bytes)
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+            let stages = r.stages.map(|s| {
+                [
+                    s.busy,
+                    s.stall_input,
+                    s.stall_output,
+                    s.stall_dram,
+                    s.tiles as u64,
+                ]
+            });
+            let dram = [r.dram.bytes_read, r.dram.bytes_written, r.dram.busy_cycles];
+            lines.push(format!(
+                "{{\"case\":\"task{ti}/params{pi}\",\"total_cycles\":{},\"num_tiles\":{},\
+                 \"stages\":{stages:?},\"dram\":{dram:?},\"occupancy\":{:?},\"capacity\":{:?},\
+                 \"timeline\":[{},\"{fnv:016x}\"]}}",
+                r.total_cycles,
+                r.num_tiles,
+                r.buffers.map(|b| b.average_occupancy),
+                r.buffers.map(|b| b.capacity),
+                r.timeline.len(),
+            ));
+        }
+    }
+    let json = format!("[\n{}\n]\n", lines.join(",\n"));
+    assert_matches_golden("cycle_sim_exact.json", &json);
+}
+
 #[test]
 fn golden_snapshots_are_valid_single_line_json_objects() {
     // A sanity net over the snapshot files themselves (they are consumed by

@@ -228,83 +228,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn multi_sim_with_one_instance_reproduces_cyclesim_cycle_for_cycle(
-        queries in 1usize..24,
-        seq_tiles in 1usize..12,
-        keep_pct in 5u32..100,
-        tile_pow in 4u32..7,
-    ) {
-        use sofa_hw::accel::AttentionTask;
-        use sofa_hw::config::HwConfig;
-        use sofa_sim::{CycleSim, MultiPipelineSim};
-
-        let bc = 1usize << tile_pow;
-        let task = AttentionTask::new(
-            queries,
-            seq_tiles * bc,
-            128,
-            2,
-            keep_pct as f64 / 100.0,
-            bc,
-        );
-        let sim = CycleSim::new(HwConfig::small());
-        let single = sim.run(&task);
-        let mut multi = MultiPipelineSim::new(sim.accel.config(), 1, sim.params);
-        multi.submit(0, 0, &sim.job(&task, None), 0);
-        let done = multi.run_to_idle();
-        let report = multi.report();
-        // Cycle-for-cycle equivalence: same end-to-end cycles, same per-stage
-        // busy/stall accounting, same DRAM traffic and channel occupancy.
-        prop_assert_eq!(report.total_cycles, single.total_cycles);
-        prop_assert_eq!(report.instances[0].stages, single.stages);
-        prop_assert_eq!(report.dram.bytes_read, single.dram.bytes_read);
-        prop_assert_eq!(report.dram.bytes_written, single.dram.bytes_written);
-        prop_assert_eq!(report.dram.busy_cycles, single.dram.busy_cycles);
-        prop_assert_eq!(done.len(), 1);
-        prop_assert_eq!(done[0].1.request, 0);
-    }
-
-    // ---------------- event-queue differentials ----------------
-
-    #[test]
-    fn calendar_queue_pops_in_the_same_order_as_the_heap(
-        ops in prop::collection::vec(
-            // (time, payload, pop_after): interleave pushes with pops so the
-            // calendar's cursor moves forward before later (possibly *earlier*)
-            // pushes arrive — the regime where bucket pull-back must not
-            // reorder anything.
-            (0u64..5_000, 0u32..1_000, prop::bool::ANY),
-            1..200,
-        ),
-        width in 1u64..512,
-    ) {
-        use sofa_sim::event::EventQueue;
-        use sofa_sim::CalendarQueue;
-
-        let mut heap = EventQueue::<u32>::new();
-        let mut calendar = CalendarQueue::<u32>::with_width(width);
-        for &(time, payload, pop_after) in &ops {
-            heap.push(time, payload);
-            calendar.push(time, payload);
-            prop_assert_eq!(calendar.len(), heap.len());
-            prop_assert_eq!(calendar.peek_time(), heap.peek_time());
-            if pop_after {
-                // Ties must break identically (insertion order via the
-                // internal sequence number), so compare payloads too.
-                prop_assert_eq!(calendar.pop(), heap.pop());
-            }
-        }
-        loop {
-            let (c, h) = (calendar.pop(), heap.pop());
-            prop_assert_eq!(c, h);
-            if h.is_none() {
-                break;
-            }
-        }
-        prop_assert!(calendar.is_empty());
-    }
-
     // ---------------- serving invariants ----------------
 
     #[test]
