@@ -1,32 +1,37 @@
 //! Fleet-scale sharded serving: cross-node placement over `sofa-sim`'s
 //! node/fabric hierarchy.
 //!
-//! [`ServeSim`] schedules one node — `N` instances behind one shared DRAM
-//! channel. [`FleetServeSim`] scales that out: requests are routed across
-//! [`FleetConfig::nodes`] nodes (each a full [`sofa_sim::NodeSim`] with a
-//! private DRAM channel), reaching their node through an inter-node
-//! [`Fabric`] whose per-node ingress links add serialization and latency to
-//! every placement. Placement is least-booked across the whole fleet, with
-//! optional **prefill/decode disaggregation**: prefills pin to one node
-//! pool, decodes to the other, spilling over only when their pool has no
-//! capacity at all.
+//! [`ServeSim`](crate::ServeSim) schedules one node — `N` instances behind
+//! one shared DRAM channel. [`FleetServeSim`] scales that out: requests are
+//! routed across [`FleetConfig::nodes`] nodes (each a full
+//! [`sofa_sim::NodeSim`] with a private DRAM channel), reaching their node
+//! through an inter-node [`Fabric`] whose per-node ingress links add
+//! serialization and latency to every placement. Both simulators admit
+//! through the crate's one router: least-booked placement, aging,
+//! overbooking, the energy budget with its reroute and shed, client retry,
+//! decay and feedback routing behave as in `ServeSim`, over every instance
+//! of the fleet. This driver adds what only a fleet has: optional
+//! **prefill/decode disaggregation** (prefills pin to one node pool,
+//! decodes to the other, spilling over only when their pool has no
+//! capacity at all), the fabric transfer of every admission, and a bounded
+//! pick window ([`FleetConfig::admit_window`]).
 //!
 //! **Epoch-synchronized.** The router interacts with the simulation only at
 //! multiples of [`FleetConfig::epoch_cycles`]: each epoch, every node's
 //! event stream advances independently (in parallel via `sofa-par` — nodes
-//! share nothing between boundaries), then completions are folded into the
-//! booking state, arrivals are ingested, and admission runs at the boundary
-//! cycle. Queueing delays are therefore quantized to the epoch; the
-//! boundary is computed from the next pending activity, so idle stretches
-//! are skipped in one step.
+//! share nothing between boundaries), then, in the serial boundary step,
+//! completions release their bookings and feed the feedback EWMAs, arrivals
+//! are ingested, and admission runs at the boundary cycle. Queueing delays
+//! are therefore quantized to the epoch; the boundary is computed from the
+//! next pending activity, so idle stretches are skipped in one step.
 //!
 //! **Fleet-scale accounting.** A million-request trace cannot keep a
 //! per-request record vector; [`FleetReport`] aggregates latency and
 //! queueing delay into streaming [`QuantileSketch`]es (exact below 256
 //! cycles, ≤1/128 relative error above) the moment each completion
 //! surfaces. Lowering is shape-memoized: distinct request shapes are
-//! lowered once (in parallel) and shared as [`Arc<PipelineJob>`]s across
-//! every request of that shape.
+//! lowered once (in parallel) and shared across every request of that
+//! shape.
 //!
 //! Determinism contract: the report (and, when traced, the Perfetto
 //! artifact: per-node pid windows absorbed in node order, router/fabric
@@ -34,14 +39,13 @@
 //! `SOFA_THREADS` and across repeated runs.
 
 use crate::report::ServeReport;
-use crate::scheduler::{AdmitPolicy, LowerCache, OpRouter, PointLowering, ServeConfig, ServeSim};
-use sofa_core::cache::{CacheStats, ShapeKey};
+use crate::router::{Ingest, Router};
+use crate::scheduler::{OpRouter, ServeConfig};
+use sofa_core::cache::CacheStats;
 use sofa_model::trace::{RequestClass, RequestTrace};
 use sofa_obs::{MetricsRegistry, QuantileSketch, TraceRecorder};
 use sofa_sim::tracks::{PID_FABRIC, PID_FLEET_ROUTER};
-use sofa_sim::{CycleSim, Fabric, FabricParams, FabricReport, FleetSim, MultiReport, PipelineJob};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use sofa_sim::{Fabric, FabricParams, FabricReport, FleetSim, MultiReport};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -50,7 +54,8 @@ use std::sync::Arc;
 pub struct FleetConfig {
     /// Per-node serving parameters; [`ServeConfig::instances`] is the
     /// instance count *per node*. The admission knobs (budget, overbooking,
-    /// policy, aging, energy budget) apply fleet-wide.
+    /// policy, aging, energy budgets, retry, decay) and the
+    /// [`OpRouter::Feedback`] loop apply fleet-wide.
     pub serve: ServeConfig,
     /// Number of nodes, each with [`ServeConfig::instances`] instances and
     /// a private DRAM channel.
@@ -124,6 +129,9 @@ impl FleetConfig {
         if self.nodes == 0 {
             return Err("nodes must be positive".into());
         }
+        if self.fabric.bytes_per_cycle == 0 {
+            return Err("fabric bytes_per_cycle must be positive".into());
+        }
         if self.epoch_cycles == 0 {
             return Err("epoch_cycles must be positive".into());
         }
@@ -142,18 +150,6 @@ impl FleetConfig {
     }
 }
 
-/// One distinct request shape, lowered once and shared by every request of
-/// that shape.
-#[derive(Debug)]
-struct Shape {
-    job: Arc<PipelineJob>,
-    footprint: u64,
-    energy_pj: f64,
-    rerouted: bool,
-    admit: bool,
-    class: RequestClass,
-}
-
 /// Aggregated outcome of serving one trace across the fleet. Per-request
 /// records are never materialized — latency and queueing distributions are
 /// streaming sketches, everything else is counters.
@@ -163,8 +159,12 @@ pub struct FleetReport {
     pub served: u64,
     /// Requests the energy budget shed.
     pub shed: u64,
-    /// Served requests the energy budget re-routed to a leaner point.
+    /// Served requests some mechanism (energy budget, decay, feedback,
+    /// retry) re-routed to a leaner point.
     pub rerouted: u64,
+    /// Served requests the decay threshold re-lowered while they waited.
+    /// Zero without [`ServeConfig::decay_threshold`].
+    pub decayed: u64,
     /// Retry re-arrivals admitted back into the wait queue (shed requests
     /// whose backoff-and-degrade resubmission fit the budget). Zero without
     /// a retry policy.
@@ -269,10 +269,13 @@ impl FleetReport {
         reg.inc("fleet.requests.served", self.served);
         reg.inc("fleet.requests.shed", self.shed);
         reg.inc("fleet.requests.rerouted", self.rerouted);
-        // Only adaptive (retry-enabled) runs carry the counter, so existing
-        // metric snapshots stay byte-stable.
+        // Only adaptive (retry- or decay-enabled) runs carry these counters,
+        // so existing metric snapshots stay byte-stable.
         if self.retried > 0 {
             reg.inc("fleet.requests.retried", self.retried);
+        }
+        if self.decayed > 0 {
+            reg.inc("fleet.requests.decayed", self.decayed);
         }
         reg.inc("fleet.requests.prefill", self.prefills);
         reg.inc("fleet.requests.decode", self.decodes);
@@ -327,6 +330,12 @@ impl FleetReport {
                 self.retried
             ));
         }
+        if self.decayed > 0 {
+            out.push_str(&format!(
+                "decayed {} (re-lowered after waiting past the threshold)\n",
+                self.decayed
+            ));
+        }
         if self.served > 0 {
             out.push_str(&format!(
                 "latency p50 {}  p95 {}  p99 {}  mean queueing {:.0} cyc\n",
@@ -354,29 +363,6 @@ impl FleetReport {
         ));
         out
     }
-}
-
-/// Mutable routing state of one fleet run.
-struct RouterState {
-    /// Waiting (admitted-eligible) request indices, in arrival order.
-    waiting: VecDeque<usize>,
-    /// Booked bytes per instance slot (`node * instances_per_node + inst`).
-    inflight_bytes: Vec<u64>,
-    /// Admitted-but-incomplete requests per instance slot.
-    inflight_reqs: Vec<usize>,
-    /// Booked (admitted-but-incomplete) energy per instance slot, for the
-    /// per-instance energy budget.
-    inflight_energy: Vec<f64>,
-    /// Peak booked bytes per instance slot.
-    peak: Vec<u64>,
-    /// Effective arrival cycle per request: the spec's arrival, or the
-    /// re-arrival time once a shed request's retry is admitted.
-    arrival: Vec<u64>,
-    requests_per_node: Vec<u64>,
-    latency: QuantileSketch,
-    queueing: QuantileSketch,
-    served: u64,
-    energy_pj: f64,
 }
 
 /// The fleet-scale serving simulator.
@@ -450,65 +436,6 @@ impl FleetServeSim {
         report
     }
 
-    /// Lowers the trace shape-memoized: one [`ServeSim`] lowering per
-    /// *distinct* `(request shape, routed operating point)` key (in
-    /// parallel, first-occurrence order), an index into the shape table per
-    /// request. The keys and results seed `cache`, so retry re-lowerings
-    /// share work with the batch; with the cache off every request lowers
-    /// independently (the cache-differential baseline).
-    fn lower_shapes(
-        &self,
-        trace: &RequestTrace,
-        router: OpRouter,
-        cache: &mut LowerCache,
-    ) -> (Vec<Shape>, Vec<usize>) {
-        let mut csim = CycleSim::new(self.cfg.serve.hw);
-        csim.params = self.cfg.serve.sim;
-        let lowerer = ServeSim::new(self.cfg.serve.clone());
-        let mut table: HashMap<ShapeKey, usize> = HashMap::new();
-        let mut shape_of = Vec::with_capacity(trace.requests.len());
-        let mut reps: Vec<usize> = Vec::new();
-        for (i, spec) in trace.requests.iter().enumerate() {
-            if cache.enabled() {
-                let op = router.pick(&self.cfg.serve.op, spec);
-                let idx = *table.entry(ShapeKey::new(spec, &op)).or_insert_with(|| {
-                    reps.push(i);
-                    reps.len() - 1
-                });
-                shape_of.push(idx);
-            } else {
-                reps.push(i);
-                shape_of.push(reps.len() - 1);
-            }
-        }
-        let rep_lowered = sofa_par::par_map_index(reps.len(), |k| {
-            lowerer.lower_routed(&csim, &trace.requests[reps[k]], &router)
-        });
-        cache.record_shared_hits((trace.requests.len() - reps.len()) as u64);
-        let shapes = rep_lowered
-            .into_iter()
-            .map(|low| {
-                cache.insert_computed(
-                    ShapeKey::new(&low.spec, &low.op),
-                    PointLowering {
-                        job: Arc::clone(&low.job),
-                        footprint: low.footprint,
-                        energy_pj: low.energy_pj,
-                    },
-                );
-                Shape {
-                    job: low.job,
-                    footprint: low.footprint,
-                    energy_pj: low.energy_pj,
-                    rerouted: low.rerouted,
-                    admit: low.admit,
-                    class: low.class,
-                }
-            })
-            .collect();
-        (shapes, shape_of)
-    }
-
     /// The node pool `class` placements try first.
     fn pool(&self, class: RequestClass) -> Range<usize> {
         if !self.cfg.disaggregate {
@@ -521,160 +448,16 @@ impl FleetServeSim {
         }
     }
 
-    /// Position in `waiting` of the next request to try: the oldest starved
-    /// request if one aged past the threshold, else the policy's pick over
-    /// the first [`FleetConfig::admit_window`] waiters. The oldest is found
-    /// by scanning the window's arrivals — pushes happen in arrival order
-    /// today (retry re-arrivals merge time-ordered at ingestion), but aging
-    /// must not silently starve if that invariant ever changes, and the
-    /// window bounds the scan cost on million-request backlogs.
-    fn pick(
-        &self,
-        now: u64,
-        waiting: &VecDeque<usize>,
-        arrival: &[u64],
-        shapes: &[Shape],
-        shape_of: &[usize],
-    ) -> usize {
-        let window = waiting.len().min(self.cfg.admit_window);
-        let oldest = (0..window)
-            .min_by_key(|&p| (arrival[waiting[p]], waiting[p]))
-            .expect("waiting is non-empty");
-        let oldest_wait = now.saturating_sub(arrival[waiting[oldest]]);
-        if oldest_wait >= self.cfg.serve.aging_threshold {
-            return oldest;
-        }
-        match self.cfg.serve.policy {
-            AdmitPolicy::Fifo => oldest,
-            AdmitPolicy::SmallestFirst => (0..window)
-                .min_by_key(|&p| (shapes[shape_of[waiting[p]]].footprint, waiting[p]))
-                .expect("waiting is non-empty"),
-        }
-    }
-
-    /// Least-booked instance slot in `nodes` that fits `fp` more bytes (or
-    /// is completely idle, so oversized requests always make progress).
-    /// With [`ServeConfig::instance_energy_budget_pj`], slots without
-    /// energy headroom for `energy_pj` are skipped too, and booked-bytes
-    /// ties break toward the most energy headroom.
-    fn place(
-        &self,
-        nodes: Range<usize>,
-        fp: u64,
-        energy_pj: f64,
-        state: &RouterState,
-    ) -> Option<(usize, usize)> {
-        let ipn = self.cfg.serve.instances;
-        let budget = self.cfg.serve.budget_bytes();
-        let fits = |slot: usize| {
-            state.inflight_reqs[slot] == 0 || state.inflight_bytes[slot] + fp <= budget
-        };
-        match self.cfg.serve.instance_energy_budget_pj {
-            None => nodes
-                .flat_map(|n| (0..ipn).map(move |i| (n, i)))
-                .filter(|&(n, i)| fits(n * ipn + i))
-                .min_by_key(|&(n, i)| (state.inflight_bytes[n * ipn + i], n, i)),
-            Some(eb) => nodes
-                .flat_map(|n| (0..ipn).map(move |i| (n, i)))
-                .filter(|&(n, i)| {
-                    let slot = n * ipn + i;
-                    fits(slot)
-                        && (state.inflight_reqs[slot] == 0
-                            || state.inflight_energy[slot] + energy_pj <= eb)
-                })
-                .min_by(|&(an, ai), &(bn, bi)| {
-                    let a = an * ipn + ai;
-                    let b = bn * ipn + bi;
-                    state.inflight_bytes[a]
-                        .cmp(&state.inflight_bytes[b])
-                        .then_with(|| state.inflight_energy[a].total_cmp(&state.inflight_energy[b]))
-                        .then_with(|| a.cmp(&b))
-                }),
-        }
-    }
-
-    /// Admits as many waiting requests as fit, at boundary cycle `now`:
-    /// pick (aged oldest or windowed smallest-first), place (least-booked
-    /// with energy headroom in the class pool, spilling fleet-wide when the
-    /// pool is full), book the fabric transfer, and hand the job to the
-    /// node at its delivery cycle.
-    #[allow(clippy::too_many_arguments)]
-    fn try_admit(
-        &self,
-        now: u64,
-        shapes: &[Shape],
-        shape_of: &[usize],
-        state: &mut RouterState,
-        fabric: &mut Fabric,
-        fleet: &mut FleetSim,
-        obs: &mut TraceRecorder,
-    ) {
-        let ipn = self.cfg.serve.instances;
-        while !state.waiting.is_empty() {
-            let pos = self.pick(now, &state.waiting, &state.arrival, shapes, shape_of);
-            let req = state.waiting[pos];
-            let shape = &shapes[shape_of[req]];
-            let fp = shape.footprint;
-            let target = self
-                .place(self.pool(shape.class), fp, shape.energy_pj, state)
-                .or_else(|| {
-                    self.cfg
-                        .disaggregate
-                        .then(|| self.place(0..self.cfg.nodes, fp, shape.energy_pj, state))
-                        .flatten()
-                });
-            let Some((node, inst)) = target else {
-                // The candidate fits nowhere; the next boundary retries.
-                // Stopping (not skipping to a smaller request) keeps the
-                // aged head from being overtaken forever.
-                return;
-            };
-            state.waiting.remove(pos);
-            let delivery = fabric.transfer(node, fp, now);
-            fleet.submit(node, inst, req as u64, Arc::clone(&shape.job), delivery);
-            let slot = node * ipn + inst;
-            state.inflight_bytes[slot] += fp;
-            state.inflight_reqs[slot] += 1;
-            state.inflight_energy[slot] += shape.energy_pj;
-            state.peak[slot] = state.peak[slot].max(state.inflight_bytes[slot]);
-            state.requests_per_node[node] += 1;
-            state.energy_pj += shape.energy_pj;
-            state.queueing.record(now - state.arrival[req]);
-            if obs.is_enabled() {
-                obs.counter(
-                    PID_FABRIC,
-                    node as u64,
-                    "fabric.bytes",
-                    now,
-                    &[("bytes", fabric.report().links[node].bytes as f64)],
-                );
-            }
-        }
-    }
-
     fn run_inner(
         &self,
         trace: &RequestTrace,
-        router: OpRouter,
+        route: OpRouter,
         obs: &mut TraceRecorder,
         cache_stats: &mut CacheStats,
     ) -> FleetReport {
-        assert!(!trace.is_empty(), "cannot serve an empty trace");
         let s = &self.cfg.serve;
         let ipn = s.instances;
-        let mut cache = LowerCache::new(s.lowering_cache);
-        let (mut shapes, mut shape_of) = self.lower_shapes(trace, router, &mut cache);
-        // Retry re-lowering happens serially, on demand, memoized per
-        // (original shape, attempt) — the retried shapes append to the same
-        // table and `shape_of` is repointed on a successful re-admission.
-        let mut retry_csim = CycleSim::new(s.hw);
-        retry_csim.params = s.sim;
-        let retry_lowerer = ServeSim::new(s.clone());
-        let mut retry_table: HashMap<(usize, u32), usize> = HashMap::new();
-        let mut attempts: HashMap<usize, u32> = HashMap::new();
-        // Shed requests awaiting their client backoff: (re-arrival, id).
-        let mut retryq: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-
+        let mut router = Router::new(s, route, &trace.requests, self.cfg.nodes, false);
         let mut fleet = FleetSim::new(&s.hw, self.cfg.nodes, ipn, s.sim);
         let mut fabric = Fabric::new(self.cfg.fabric, self.cfg.nodes);
         if obs.is_enabled() {
@@ -687,144 +470,62 @@ impl FleetServeSim {
             fleet.enable_tracing();
         }
 
-        let mut state = RouterState {
-            waiting: VecDeque::new(),
-            inflight_bytes: vec![0; self.cfg.total_instances()],
-            inflight_reqs: vec![0; self.cfg.total_instances()],
-            inflight_energy: vec![0.0; self.cfg.total_instances()],
-            peak: vec![0; self.cfg.total_instances()],
-            arrival: trace.requests.iter().map(|r| r.arrival_cycle).collect(),
-            requests_per_node: vec![0; self.cfg.nodes],
-            latency: QuantileSketch::new(),
-            queueing: QuantileSketch::new(),
-            served: 0,
-            energy_pj: 0.0,
-        };
-        let mut shed = 0u64;
-        let mut rerouted = 0u64;
-        let mut retried = 0u64;
-        let mut prefills = 0u64;
-        let mut decodes = 0u64;
-        let mut next_arrival = 0usize;
+        let mut latency = QuantileSketch::new();
+        let mut queueing = QuantileSketch::new();
+        let mut requests_per_node = vec![0u64; self.cfg.nodes];
+        let (mut served, mut shed, mut rerouted, mut decayed) = (0u64, 0u64, 0u64, 0u64);
+        let (mut prefills, mut decodes) = (0u64, 0u64);
+        let mut energy_pj = 0.0f64;
         let epoch = self.cfg.epoch_cycles;
-        let specs = &trace.requests;
-
-        loop {
-            let fleet_next = fleet.next_activity();
-            let arr_next = specs.get(next_arrival).map(|r| r.arrival_cycle);
-            let retry_next = retryq.peek().map(|Reverse((t, _))| *t);
-            let next = match [fleet_next, arr_next, retry_next]
-                .into_iter()
-                .flatten()
-                .min()
-            {
-                Some(t) => t,
-                None => break,
-            };
+        while let Some(next) = [fleet.next_activity(), router.next_external()]
+            .into_iter()
+            .flatten()
+            .min()
+        {
             // The first boundary strictly past the next pending activity —
             // idle stretches collapse into one epoch step.
             let boundary = (next / epoch + 1) * epoch;
             for c in fleet.run_until(boundary) {
                 let req = c.request as usize;
-                let slot = c.node * ipn + c.instance;
-                state.inflight_bytes[slot] -= shapes[shape_of[req]].footprint;
-                state.inflight_reqs[slot] -= 1;
-                state.inflight_energy[slot] -= shapes[shape_of[req]].energy_pj;
-                state.latency.record(c.time - state.arrival[req]);
-                state.served += 1;
+                latency.record(c.time - router.request(req).arrival);
+                router.complete(req, c.node * ipn + c.instance, c.time);
+                served += 1;
             }
             // Ingest originals and retry re-arrivals below the boundary in
-            // time order (originals first on ties), so the wait queue stays
-            // arrival-ordered.
-            loop {
-                let arr = (next_arrival < specs.len())
-                    .then(|| specs[next_arrival].arrival_cycle)
-                    .filter(|&t| t < boundary);
-                let rtr = retryq
-                    .peek()
-                    .map(|Reverse((t, _))| *t)
-                    .filter(|&t| t < boundary);
-                let take_retry = match (arr, rtr) {
-                    (None, None) => break,
-                    (Some(a), Some(r)) => r < a,
-                    (None, Some(_)) => true,
-                    (Some(_), None) => false,
-                };
-                if take_retry {
-                    let Reverse((t, req)) = retryq.pop().expect("retry was pending");
-                    let policy = self.cfg.serve.retry.expect("retries require a policy");
-                    let attempt = attempts.get(&req).copied().unwrap_or(0) + 1;
-                    let key = (shape_of[req], attempt);
-                    let idx = *retry_table.entry(key).or_insert_with(|| {
-                        let (_, lowering) = retry_lowerer.retry_lowering(
-                            &mut cache,
-                            &retry_csim,
-                            &router,
-                            &specs[req],
-                            &policy,
-                            attempt,
-                        );
-                        let admit = !self
-                            .cfg
-                            .serve
-                            .energy_budget_pj_per_req
-                            .is_some_and(|b| lowering.energy_pj > b);
-                        shapes.push(Shape {
-                            job: lowering.job,
-                            footprint: lowering.footprint,
-                            energy_pj: lowering.energy_pj,
-                            rerouted: true,
-                            admit,
-                            class: specs[req].class,
-                        });
-                        shapes.len() - 1
-                    });
-                    if shapes[idx].admit {
-                        shape_of[req] = idx;
-                        state.arrival[req] = t;
-                        retried += 1;
-                        rerouted += 1;
-                        match shapes[idx].class {
-                            RequestClass::Prefill => prefills += 1,
-                            RequestClass::Decode => decodes += 1,
-                        }
-                        state.waiting.push_back(req);
-                    } else if attempt < policy.max_retries {
-                        attempts.insert(req, attempt);
-                        retryq.push(Reverse((t + policy.backoff_cycles, req)));
-                    } else {
-                        shed += 1;
-                    }
-                } else {
-                    let shape = &shapes[shape_of[next_arrival]];
-                    if shape.admit {
-                        state.waiting.push_back(next_arrival);
-                        if shape.rerouted {
-                            rerouted += 1;
-                        }
-                        match shape.class {
-                            RequestClass::Prefill => prefills += 1,
-                            RequestClass::Decode => decodes += 1,
-                        }
-                    } else if let Some(policy) = &self.cfg.serve.retry {
-                        retryq.push(Reverse((
-                            specs[next_arrival].arrival_cycle + policy.backoff_cycles,
-                            next_arrival,
-                        )));
-                    } else {
-                        shed += 1;
-                    }
-                    next_arrival += 1;
+            // time order, so the wait queue stays arrival-ordered.
+            while router.next_external().is_some_and(|t| t < boundary) {
+                if let (_, Ingest::Shed(_)) = router.ingest_next() {
+                    shed += 1;
                 }
             }
-            self.try_admit(
+            router.try_admit(
                 boundary,
-                &shapes,
-                &shape_of,
-                &mut state,
-                &mut fabric,
-                &mut fleet,
-                obs,
+                self.cfg.admit_window,
+                |class| self.pool(class),
+                |a| {
+                    let (node, inst) = (a.slot / ipn, a.slot % ipn);
+                    let (job, fp) = (Arc::clone(&a.lowering.job), a.lowering.footprint);
+                    let delivery = fabric.transfer(node, fp, boundary);
+                    fleet.submit(node, inst, a.req as u64, job, delivery);
+                    requests_per_node[node] += 1;
+                    energy_pj += a.lowering.energy_pj;
+                    queueing.record(boundary - a.request.arrival);
+                    rerouted += u64::from(a.request.rerouted);
+                    decayed += u64::from(a.request.decayed);
+                    match trace.requests[a.req].class {
+                        RequestClass::Prefill => prefills += 1,
+                        RequestClass::Decode => decodes += 1,
+                    }
+                    if obs.is_enabled() {
+                        obs.counter(
+                            PID_FABRIC,
+                            node as u64,
+                            "fabric.bytes",
+                            boundary,
+                            &[("bytes", fabric.report().links[node].bytes as f64)],
+                        );
+                    }
+                },
             );
             if obs.is_enabled() {
                 obs.counter(
@@ -832,12 +533,12 @@ impl FleetServeSim {
                     0,
                     "fleet.wait_queue",
                     boundary,
-                    &[("waiting", state.waiting.len() as f64)],
+                    &[("waiting", router.waiting() as f64)],
                 );
             }
         }
-        debug_assert!(state.waiting.is_empty(), "all eligible requests admitted");
-        *cache_stats = cache.stats();
+        router.finish();
+        *cache_stats = router.cache_stats();
         obs.absorb(fleet.take_trace());
 
         let sim_report = fleet.report();
@@ -847,23 +548,26 @@ impl FleetServeSim {
             .map(|n| n.total_cycles)
             .max()
             .unwrap_or(0);
-        let peak_inflight_bytes = (0..self.cfg.nodes)
-            .map(|n| (0..ipn).map(|i| state.peak[n * ipn + i]).max().unwrap_or(0))
+        let peak_inflight_bytes = router
+            .peak_bytes()
+            .chunks(ipn)
+            .map(|node| node.iter().copied().max().unwrap_or(0))
             .collect();
         FleetReport {
-            served: state.served,
+            served,
             shed,
             rerouted,
-            retried,
+            decayed,
+            retried: router.retried(),
             prefills,
             decodes,
-            latency: state.latency,
-            queueing: state.queueing,
+            latency,
+            queueing,
             total_cycles,
             nodes: sim_report.nodes,
             fabric: fabric.report(),
-            energy_pj: state.energy_pj,
-            requests_per_node: state.requests_per_node,
+            energy_pj,
+            requests_per_node,
             peak_inflight_bytes,
             budget_bytes: s.budget_bytes(),
         }
@@ -882,6 +586,7 @@ pub fn p95_drift(fleet: &FleetReport, single: &ServeReport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServeSim;
     use sofa_hw::config::HwConfig;
     use sofa_model::trace::TraceConfig;
 
@@ -983,6 +688,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fabric bytes_per_cycle must be positive")]
+    fn zero_fabric_bandwidth_rejected() {
+        // Regression: this config used to validate and then panic inside
+        // `Fabric::new` on the first run.
+        let mut cfg = small_cfg(2, 1);
+        cfg.fabric.bytes_per_cycle = 0;
+        FleetServeSim::new(cfg);
+    }
+
+    #[test]
     fn prefill_nodes_is_total_on_unvalidatable_configs() {
         // Regression: `clamp(1, nodes - 1)` panicked (min > max) for a
         // single-node disaggregated config inspected before validate(), and
@@ -1045,5 +760,28 @@ mod tests {
         assert_eq!(report.served, 24, "budgeted placement must still serve all");
         assert!(report.requests_per_node.iter().all(|&r| r > 0));
         assert_eq!(report, sim.run(&trace, OpRouter::TraceNative));
+    }
+
+    #[test]
+    fn fleet_decay_and_feedback_reroute_a_backlog() {
+        // Regression: the fleet ignored `decay_threshold` and served
+        // `OpRouter::Feedback` as plain Pareto routing.
+        let trace = small_trace(48, 400.0);
+        let mut cfg = small_cfg(2, 2);
+        cfg.serve.decay_threshold = Some(10_000);
+        let front = crate::scheduler::tests::adaptive_front();
+        let hot = crate::FeedbackConfig::new(1);
+        let sim = FleetServeSim::new(cfg);
+        let report = sim.run(&trace, OpRouter::Feedback(&front, &hot));
+        assert!(report.decayed > 0, "a backlog must decay");
+        assert!(
+            report.rerouted > report.decayed,
+            "feedback must reroute too"
+        );
+        assert_eq!(report.served + report.shed, trace.len() as u64);
+        let mut metrics = MetricsRegistry::new();
+        report.record_metrics(&mut metrics);
+        assert_eq!(metrics.counter("fleet.requests.decayed"), report.decayed);
+        assert_eq!(report, sim.run(&trace, OpRouter::Feedback(&front, &hot)));
     }
 }

@@ -27,6 +27,10 @@
 //!   prefill/decode disaggregation, reporting streaming-sketch percentiles
 //!   ([`FleetReport`]) so million-request traces stay cheap.
 //!
+//! Both simulators admit through one crate-private router (`router.rs`):
+//! lowering, pick, place, the energy budgets, retry, decay and feedback
+//! exist once, and the simulators only step time and build reports.
+//!
 //! # Example
 //!
 //! ```
@@ -47,6 +51,7 @@
 
 pub mod fleet;
 pub mod report;
+mod router;
 pub mod routing;
 pub mod scheduler;
 

@@ -1,83 +1,57 @@
-//! The continuous-batching admission scheduler.
+//! The continuous-batching serving simulator of one node.
 //!
 //! [`ServeSim`] multiplexes a [`RequestTrace`] onto `N` simulated SOFA
-//! instances. Requests are lowered once into [`PipelineJob`]s; admission then
-//! interleaves with the cycle-level simulation — a request admitted at cycle
-//! `t` has its tiles enter the instance's stream at `t`, and the completion
-//! events the simulation produces feed the next admission decision. This is
-//! continuous batching at tile granularity: an instance never drains between
-//! requests, new tiles enter right behind the previous request's.
+//! instances behind one shared DRAM channel. Admission interleaves with
+//! the cycle-level simulation event by event — a request admitted at cycle
+//! `t` has its tiles enter the instance's stream at `t`, and every
+//! completion feeds the next admission decision. This is continuous
+//! batching at tile granularity: an instance never drains between requests.
 //!
-//! **Operating points.** Every request is lowered at an [`OperatingPoint`]
-//! chosen by an [`OpRouter`] — the trace's native keep ratios on the
-//! deployment tiling, one fixed point, or per-class Pareto routing through a
-//! DSE front ([`sofa_dse::ParetoFront`]). A multi-layer point lowers the
-//! request once per layer, switching keep ratio and tile size between the
-//! layer invocations, and streams the concatenated tile sequence through the
-//! instance. Scalar `(keep, Bc)` pairs never enter the lowering.
+//! The admission policy is the crate's router, which
+//! [`FleetServeSim`](crate::FleetServeSim) drives too; `ServeSim` is its
+//! one-node driver. On equal cycles, simulation events run before arrivals
+//! and original arrivals before retry re-arrivals, and admission is tried
+//! after every arrival and every completion. This module also holds the
+//! configuration both simulators share:
 //!
-//! **Energy budget.** Lowering projects each request's energy from the DSE
-//! energy model (analytic compute/SRAM/interface/DRAM energy plus the
-//! per-DRAM-request activation charge). When the configured per-request
-//! budget ([`ServeConfig::energy_budget_pj_per_req`]) is exceeded, the
-//! scheduler re-routes the request to the front's energy-leanest point; a
-//! request that exceeds the budget even there is **shed** — recorded in
-//! [`ServeReport::shed`] instead of being admitted. Admitted energy is
-//! tracked per instance.
-//!
-//! Admission is buffer-budgeted. Classic worst-case sizing reserves, per
-//! admitted request, the SRAM a *dense* request would pin — but after the
-//! prediction stage, top-k sparsity means the real resident footprint is a
-//! fraction of that. With [`ServeConfig::predicted_footprint`] the scheduler
-//! books the measured (sparsity-aware) footprint instead, and
-//! [`ServeConfig::overbook`] further relaxes the budget — the
-//! buffer-overbooking idea Tailors applies to sparse workloads. Requests are
-//! picked smallest-footprint-first (best packing) unless one has waited past
-//! [`ServeConfig::aging_threshold`], in which case the oldest starved
-//! request is served first.
-//!
-//! **Adaptive control loop.** Four opt-in mechanisms close the loop on
-//! *measured* state. Every adaptive decision happens inside the serial
-//! event loop (re-lowering there is a pure function of already-deterministic
-//! inputs), so the determinism contract — bit-identical reports and trace
-//! bytes at any `SOFA_THREADS` — is untouched:
-//!
-//! * **decay** ([`ServeConfig::decay_threshold`]) — a request waiting past
-//!   the threshold is re-lowered to a leaner operating point (decodes to
-//!   the front's cycle-leanest point, prefills to its energy-leanest)
-//!   instead of only being priority-aged, and the reroute is recorded on
-//!   the request ([`RequestRecord::decayed`]) and traced as an instant;
-//! * **feedback** ([`OpRouter::Feedback`]) — per-instance EWMAs of
-//!   completion latency and energy plus a wait-queue-depth EWMA map
-//!   measured overload to a pressure level
-//!   ([`FeedbackConfig`]), which shifts the routing eligibility bar along
-//!   the front ([`sofa_dse::ParetoFront::route_pressure`]) at admission
-//!   time;
-//! * **retry** ([`ServeConfig::retry`]) — a shed request re-arrives after a
-//!   deterministic client backoff at a leaner keep ratio (the client's
-//!   degrade-and-retry model) and is recorded as shed only once its
-//!   retries are exhausted; served retries are counted separately
-//!   ([`ServeReport::retried`]);
-//! * **per-instance energy budgets**
-//!   ([`ServeConfig::instance_energy_budget_pj`]) — placement filters and
-//!   orders candidate instances by in-flight energy headroom as well as
-//!   booked bytes, so load balance trades against thermal/energy headroom.
+//! * **Operating points.** An [`OpRouter`] lowers each request at the
+//!   trace's native keep ratios, one fixed [`OperatingPoint`], or per-class
+//!   Pareto routing through a DSE front ([`sofa_dse::ParetoFront`]). A
+//!   multi-layer point streams the concatenated per-layer tile sequence.
+//! * **Buffer-budgeted admission** ([`ServeConfig::admit_buffer_bytes`]).
+//!   With [`ServeConfig::predicted_footprint`] the router books the measured
+//!   top-k footprint instead of a dense request's, and
+//!   [`ServeConfig::overbook`] relaxes the budget further — the
+//!   buffer-overbooking idea Tailors applies to sparse workloads. Requests
+//!   are picked smallest-footprint-first unless one has waited past
+//!   [`ServeConfig::aging_threshold`].
+//! * **Energy budget** ([`ServeConfig::energy_budget_pj_per_req`]). A
+//!   request projected over it re-routes to the front's energy-leanest
+//!   point and is **shed** ([`ServeReport::shed`]) if still over.
+//! * **Adaptive control**, all opt-in and decided on the serial path, so
+//!   reports and trace bytes stay bit-identical at any `SOFA_THREADS`:
+//!   **decay** ([`ServeConfig::decay_threshold`]) re-lowers an over-waited
+//!   request to a leaner point ([`RequestRecord::decayed`]); **feedback**
+//!   ([`OpRouter::Feedback`], [`FeedbackConfig`]) maps EWMAs of measured
+//!   latency, queue depth and energy to a pressure level that shifts the
+//!   routing bar ([`sofa_dse::ParetoFront::route_pressure`]); **retry**
+//!   ([`ServeConfig::retry`]) re-submits a shed request after a client
+//!   backoff at a leaner keep ([`ServeReport::retried`]); and
+//!   **per-instance energy budgets**
+//!   ([`ServeConfig::instance_energy_budget_pj`]) make placement weigh
+//!   in-flight energy headroom as well as booked bytes.
 
 use crate::report::{RequestRecord, ServeReport, ShedRecord};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use crate::router::{AdaptiveKind, Ingest, Router};
 
-use sofa_core::cache::{CacheStats, LoweringCache, ShapeKey};
+use sofa_core::cache::CacheStats;
 use sofa_dse::ParetoFront;
-use sofa_hw::accel::AttentionTask;
 use sofa_hw::config::HwConfig;
-use sofa_hw::energy::DRAM_ACTIVATION_PJ;
 use sofa_model::trace::{RequestClass, RequestSpec, RequestTrace};
 use sofa_model::OperatingPoint;
 use sofa_obs::{ArgValue, MetricsRegistry, TraceRecorder};
 use sofa_sim::tracks::PID_SERVE_BASE;
-use sofa_sim::{CycleSim, MultiPipelineSim, PipelineJob, SimParams};
+use sofa_sim::{MultiPipelineSim, SimParams};
 
 /// Process id of the per-request lifecycle tracks (tid = request id).
 pub const PID_REQUESTS: u64 = PID_SERVE_BASE;
@@ -233,7 +207,7 @@ impl OpRouter<'_> {
 
     /// The leaner point an over-budget request is re-routed to, when the
     /// router has one (only front-backed routing does).
-    fn leaner(&self) -> Option<OperatingPoint> {
+    pub(crate) fn leaner(&self) -> Option<OperatingPoint> {
         match self {
             OpRouter::Pareto(front) | OpRouter::Feedback(front, _) => Some(front.leanest_energy()),
             _ => None,
@@ -244,7 +218,7 @@ impl OpRouter<'_> {
     /// cycle-leanest point for decodes (drain the queue fast), its
     /// energy-leanest for prefills (cheapest way through the backlog).
     /// `None` for routers without a front — decay is a no-op there.
-    fn decay_target(&self, class: RequestClass) -> Option<OperatingPoint> {
+    pub(crate) fn decay_target(&self, class: RequestClass) -> Option<OperatingPoint> {
         let front = match self {
             OpRouter::Pareto(front) | OpRouter::Feedback(front, _) => front,
             _ => return None,
@@ -386,43 +360,6 @@ impl ServeConfig {
     }
 }
 
-/// One request lowered and waiting for (or past) admission.
-#[derive(Debug)]
-pub(crate) struct Lowered {
-    pub(crate) class: RequestClass,
-    /// Effective arrival: the spec's arrival cycle, or the re-arrival time
-    /// once a shed request's retry is admitted (latency is measured from
-    /// the client's live submission).
-    pub(crate) arrival: u64,
-    /// The original spec, kept so the adaptive controller can re-lower the
-    /// request at a different operating point mid-run.
-    pub(crate) spec: RequestSpec,
-    /// The operating point the current lowering used.
-    pub(crate) op: OperatingPoint,
-    /// The lowered tile stream, shared with every other request that lowered
-    /// to the same `(shape, operating point)` key when the cache is on.
-    pub(crate) job: Arc<PipelineJob>,
-    /// Bytes admission control books for the request (the worst layer).
-    pub(crate) footprint: u64,
-    /// Projected energy of the whole request (all layers) in picojoules.
-    pub(crate) energy_pj: f64,
-    /// Whether any mechanism (energy budget, decay, feedback, retry)
-    /// re-routed this request away from its first-pick point.
-    pub(crate) rerouted: bool,
-    /// `false` when the request exceeded the energy budget even at the
-    /// leanest point and was shed instead of admitted (a retry that fits
-    /// the budget flips it back to `true`).
-    pub(crate) admit: bool,
-    /// Whether the decay threshold re-lowered this request while it waited.
-    pub(crate) decayed: bool,
-    /// Decay was evaluated (possibly rejected); guards repeated re-lowering.
-    pub(crate) decay_checked: bool,
-    /// Client re-submissions so far (0 for first-attempt requests).
-    pub(crate) retries: u32,
-    /// Pressure level of the lowering currently in `job` (feedback router).
-    pub(crate) level: u8,
-}
-
 /// The continuous-batching serving simulator.
 #[derive(Debug)]
 pub struct ServeSim {
@@ -443,116 +380,6 @@ impl ServeSim {
     /// The configuration in use.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
-    }
-
-    /// Lowers one request at `op`: one pipeline job per layer, concatenated
-    /// into a single tile stream, plus the admission footprint and the
-    /// projected energy.
-    ///
-    /// The footprint is the state an instance pins for the life of an
-    /// in-flight layer (tiles merely stream through the ping-pong banks):
-    /// the query block and the output accumulator (`T×H` 16-bit values
-    /// each) plus per-selected-key metadata — index and predicted score,
-    /// 4 B per kept Q-K pair. Layers run back to back, so admission books
-    /// the worst layer. Worst-case sizing must budget for a dense selection
-    /// (every key kept); the *measured* footprint books only the `T×k`
-    /// pairs the prediction stage actually keeps — the capacity overbooking
-    /// reclaims.
-    ///
-    /// The energy projection follows the DSE evaluator's model: the
-    /// analytic compute/SRAM/interface/DRAM energy of each layer's task
-    /// plus [`DRAM_ACTIVATION_PJ`] per DRAM request the lowered job issues.
-    fn lower_at(&self, csim: &CycleSim, spec: &RequestSpec, op: &OperatingPoint) -> PointLowering {
-        let t = spec.queries as u64;
-        let h = spec.hidden as u64;
-        let mut combined = PipelineJob {
-            work: Vec::new(),
-            cycles: Vec::new(),
-        };
-        let mut footprint = 0u64;
-        let mut energy_pj = 0.0f64;
-        for layer in 0..op.layers() {
-            let task = AttentionTask::at_layer(
-                spec.queries,
-                spec.seq_len,
-                spec.hidden,
-                spec.heads,
-                op,
-                layer,
-            );
-            let job = csim.job(&task, None);
-            let requests = job.dram_requests();
-            let analytic = csim.accel.simulate(&task);
-            energy_pj += analytic.energy.total_j() * 1e12 + requests as f64 * DRAM_ACTIVATION_PJ;
-            let kept_pairs = if self.cfg.predicted_footprint {
-                task.k() as u64
-            } else {
-                spec.seq_len as u64
-            };
-            footprint = footprint.max(t * h * 2 + t * h * 2 + t * kept_pairs * 4);
-            combined.work.extend(job.work);
-            combined.cycles.extend(job.cycles);
-        }
-        PointLowering {
-            job: Arc::new(combined),
-            footprint,
-            energy_pj,
-        }
-    }
-
-    /// [`ServeSim::lower_at`] through the lowering cache. Serial-path entry
-    /// point for the adaptive re-lowering mechanisms; the batch path seeds
-    /// the same cache via its dedup pass instead.
-    fn lower_at_cached(
-        &self,
-        cache: &mut LowerCache,
-        csim: &CycleSim,
-        spec: &RequestSpec,
-        op: &OperatingPoint,
-    ) -> PointLowering {
-        cache
-            .get_or_insert_with(ShapeKey::new(spec, op), || self.lower_at(csim, spec, op))
-            .clone()
-    }
-
-    /// Lowers one request through `router`, applying the energy budget:
-    /// over-budget requests are re-routed to the router's leanest point,
-    /// and shed when they exceed the budget even there.
-    pub(crate) fn lower_routed(
-        &self,
-        csim: &CycleSim,
-        spec: &RequestSpec,
-        router: &OpRouter,
-    ) -> Lowered {
-        let mut op = router.pick(&self.cfg.op, spec);
-        let mut lowering = self.lower_at(csim, spec, &op);
-        let mut rerouted = false;
-        let mut admit = true;
-        if let Some(budget) = self.cfg.energy_budget_pj_per_req {
-            if lowering.energy_pj > budget {
-                if let Some(lean) = router.leaner().filter(|lean| *lean != op) {
-                    lowering = self.lower_at(csim, spec, &lean);
-                    op = lean;
-                    rerouted = true;
-                }
-                admit = lowering.energy_pj <= budget;
-            }
-        }
-        Lowered {
-            class: spec.class,
-            arrival: spec.arrival_cycle,
-            spec: *spec,
-            op,
-            job: lowering.job,
-            footprint: lowering.footprint,
-            energy_pj: lowering.energy_pj,
-            rerouted,
-            admit,
-            decayed: false,
-            decay_checked: false,
-            retries: 0,
-            level: 0,
-        }
     }
 
     /// Serves `trace` with every request lowered at the trace's native keep
@@ -622,314 +449,146 @@ impl ServeSim {
     fn run_inner(
         &self,
         trace: &RequestTrace,
-        router: OpRouter,
+        route: OpRouter,
         obs: &mut TraceRecorder,
         cache_stats: &mut CacheStats,
     ) -> ServeReport {
-        assert!(!trace.is_empty(), "cannot serve an empty trace");
-        if let OpRouter::Feedback(_, fb) = &router {
-            fb.validate().expect("invalid feedback config");
-        }
+        let specs = &trace.requests;
         let n = self.cfg.instances;
+        let mut router = Router::new(&self.cfg, route, specs, 1, obs.is_enabled());
         if obs.is_enabled() {
             obs.process_name(PID_REQUESTS, "requests");
-            for i in 0..trace.requests.len() {
+            for i in 0..specs.len() {
                 obs.thread_name(PID_REQUESTS, i as u64, &format!("req{i}"));
             }
             obs.process_name(PID_SCHEDULER, "scheduler");
             obs.thread_name(PID_SCHEDULER, 0, "serve.wait_queue");
-            if matches!(router, OpRouter::Feedback(..)) {
+            if router.pressure().is_some() {
                 obs.thread_name(PID_SCHEDULER, 1, "serve.pressure");
             }
             for i in 0..n {
                 obs.thread_name(i as u64, TID_SERVE_INFLIGHT, "serve.inflight_bytes");
                 obs.thread_name(i as u64, TID_SERVE_ENERGY, "serve.energy_pj");
             }
-        }
-        let mut csim = CycleSim::new(self.cfg.hw);
-        csim.params = self.cfg.sim;
-        // Lowering a request (routing, descriptor generation, per-tile cycle
-        // apportioning, energy projection) is a pure function of
-        // `(request shape, operating point)`. A serial dedup pass elects one
-        // representative per distinct key; only the representatives fan out
-        // across cores (in index order, so the result is oblivious to the
-        // thread count), and every other request shares its representative's
-        // lowering. With the cache off every request is its own
-        // representative — the classic full fan-out.
-        let cache_on = self.cfg.lowering_cache;
-        let mut rep_of: Vec<usize> = Vec::with_capacity(trace.requests.len());
-        let mut reps: Vec<usize> = Vec::new();
-        {
-            let mut seen: HashMap<ShapeKey, usize> = HashMap::new();
-            for spec in &trace.requests {
-                if cache_on {
-                    let op = router.pick(&self.cfg.op, spec);
-                    let rep = *seen.entry(ShapeKey::new(spec, &op)).or_insert_with(|| {
-                        reps.push(rep_of.len());
-                        reps.len() - 1
-                    });
-                    rep_of.push(rep);
-                } else {
-                    reps.push(rep_of.len());
-                    rep_of.push(reps.len() - 1);
-                }
-            }
-        }
-        let rep_lowered: Vec<Lowered> = sofa_par::par_map_index(reps.len(), |k| {
-            self.lower_routed(&csim, &trace.requests[reps[k]], &router)
-        });
-        // Seed the event-loop cache with each representative's final-point
-        // lowering and account the dedup pass: one miss per representative,
-        // one hit per request that shared one.
-        let mut cache = LowerCache::new(cache_on);
-        for rep in &rep_lowered {
-            cache.insert_computed(
-                ShapeKey::new(&rep.spec, &rep.op),
-                PointLowering {
-                    job: Arc::clone(&rep.job),
-                    footprint: rep.footprint,
-                    energy_pj: rep.energy_pj,
-                },
-            );
-        }
-        cache.record_shared_hits((trace.requests.len() - reps.len()) as u64);
-        let mut lowered = Vec::with_capacity(trace.requests.len());
-        for (i, spec) in trace.requests.iter().enumerate() {
-            let rep = &rep_lowered[rep_of[i]];
-            let req = Lowered {
-                class: spec.class,
-                arrival: spec.arrival_cycle,
-                spec: *spec,
-                op: rep.op.clone(),
-                job: Arc::clone(&rep.job),
-                footprint: rep.footprint,
-                energy_pj: rep.energy_pj,
-                rerouted: rep.rerouted,
-                admit: rep.admit,
-                decayed: false,
-                decay_checked: false,
-                retries: 0,
-                level: 0,
-            };
-            if obs.is_enabled() {
-                let tid = i as u64;
+            for (i, spec) in specs.iter().enumerate() {
+                let (tid, lowering) = (i as u64, router.lowering(i));
+                let ts = spec.arrival_cycle;
                 obs.instant(
                     PID_REQUESTS,
                     tid,
                     "lowered",
-                    req.arrival,
+                    ts,
                     &[
-                        ("class", ArgValue::Str(class_name(req.class))),
-                        ("footprint_bytes", ArgValue::U64(req.footprint)),
-                        ("energy_pj", ArgValue::F64(req.energy_pj)),
+                        ("class", ArgValue::Str(class_name(spec.class))),
+                        ("footprint_bytes", ArgValue::U64(lowering.footprint)),
+                        ("energy_pj", ArgValue::F64(lowering.energy_pj)),
                     ],
                 );
-                if req.rerouted {
+                if router.request(i).rerouted {
                     obs.instant(
                         PID_REQUESTS,
                         tid,
                         "reroute",
-                        req.arrival,
+                        ts,
                         &[("to", ArgValue::Str("energy-leanest"))],
                     );
                 }
                 // With a retry policy a first-attempt shed is not final:
-                // the serial loop buffers shed-retry/retry/shed instants
-                // and they are emitted post-run instead.
-                if !req.admit && self.cfg.retry.is_none() {
+                // the router buffers shed-retry/retry/shed instants and
+                // they are emitted post-run instead.
+                if !router.fits_budget(lowering.energy_pj) && self.cfg.retry.is_none() {
                     obs.instant(
                         PID_REQUESTS,
                         tid,
                         "shed",
-                        req.arrival,
-                        &[("energy_pj", ArgValue::F64(req.energy_pj))],
+                        ts,
+                        &[("energy_pj", ArgValue::F64(lowering.energy_pj))],
                     );
                 }
             }
-            lowered.push(req);
         }
 
         let mut msim = MultiPipelineSim::new(&self.cfg.hw, n, self.cfg.sim);
         if obs.is_enabled() {
             msim.enable_tracing();
         }
-        let mut state = AdmissionState::new(n, lowered.len());
+        let mut placed_on = vec![usize::MAX; specs.len()];
+        let mut admitted_at = vec![u64::MAX; specs.len()];
+        let mut completed_at = vec![u64::MAX; specs.len()];
+        let mut energy_pj = vec![0.0; n];
         let mut shed: Vec<ShedRecord> = Vec::new();
-        let mut next_arrival = 0usize;
-        // Shed requests awaiting their client backoff: (re-arrival, id).
-        let mut retryq: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let ctx = RouteCtx {
-            csim: &csim,
-            router: &router,
-        };
-
         loop {
-            let event = msim.next_event_time();
-            let arrival = (next_arrival < lowered.len()).then(|| lowered[next_arrival].arrival);
-            let retry = retryq.peek().map(|Reverse((t, _))| *t);
-            // Original arrivals run before retry re-arrivals on ties (the
-            // retried client re-submits just behind the fresh traffic), and
-            // completions at the same cycle free capacity before any
-            // admission decision, so simulation events run first overall.
-            let external = match (arrival, retry) {
-                (Some(a), Some(r)) if r < a => Some((r, true)),
-                (Some(a), _) => Some((a, false)),
-                (None, Some(r)) => Some((r, true)),
-                (None, None) => None,
-            };
-            let external_first = match (event, external) {
+            // Completions at the same cycle free capacity before any
+            // admission decision, so simulation events run before arrivals.
+            let now = match (msim.next_event_time(), router.next_external()) {
                 (None, None) => break,
-                (Some(e), Some((x, _))) => x < e,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-            };
-            if external_first {
-                let (now, is_retry) = external.expect("external_first implies an arrival");
-                if is_retry {
-                    let Reverse((_, req)) = retryq.pop().expect("retry was pending");
-                    let policy = self.cfg.retry.expect("retries require a policy");
-                    let attempt = lowered[req].retries + 1;
-                    let spec = lowered[req].spec;
-                    let (op, lowering) =
-                        self.retry_lowering(&mut cache, &csim, &router, &spec, &policy, attempt);
-                    lowered[req].retries = attempt;
-                    lowered[req].energy_pj = lowering.energy_pj;
-                    let over = self
-                        .cfg
-                        .energy_budget_pj_per_req
-                        .is_some_and(|b| lowering.energy_pj > b);
-                    if !over {
-                        let lw = &mut lowered[req];
-                        lw.job = lowering.job;
-                        lw.footprint = lowering.footprint;
-                        lw.op = op;
-                        lw.arrival = now;
-                        lw.rerouted = true;
-                        lw.admit = true;
-                        state.retried += 1;
-                        state.events.push(AdaptiveEvent {
-                            req,
-                            ts: now,
-                            kind: AdaptiveKind::Retry(attempt),
-                        });
-                        state.waiting.push(req);
-                        if obs.is_enabled() {
-                            obs.counter(
-                                PID_SCHEDULER,
-                                0,
-                                "serve.wait_queue",
-                                now,
-                                &[("waiting", state.waiting.len() as f64)],
-                            );
-                        }
-                    } else if attempt < policy.max_retries {
-                        state.events.push(AdaptiveEvent {
-                            req,
-                            ts: now,
-                            kind: AdaptiveKind::RetryShed(attempt),
-                        });
-                        retryq.push(Reverse((now + policy.backoff_cycles, req)));
-                    } else {
-                        state.events.push(AdaptiveEvent {
-                            req,
-                            ts: now,
-                            kind: AdaptiveKind::Shed(lowering.energy_pj),
-                        });
-                        shed.push(ShedRecord {
-                            id: req as u64,
-                            class: lowered[req].class,
-                            arrival: lowered[req].spec.arrival_cycle,
-                            energy_pj: lowering.energy_pj,
-                            retries: attempt,
-                        });
-                    }
-                } else {
-                    let req = &lowered[next_arrival];
-                    if req.admit {
-                        state.waiting.push(next_arrival);
-                        if obs.is_enabled() {
-                            obs.counter(
-                                PID_SCHEDULER,
-                                0,
-                                "serve.wait_queue",
-                                now,
-                                &[("waiting", state.waiting.len() as f64)],
-                            );
-                        }
-                    } else if let Some(policy) = &self.cfg.retry {
-                        state.events.push(AdaptiveEvent {
-                            req: next_arrival,
-                            ts: now,
-                            kind: AdaptiveKind::RetryShed(0),
-                        });
-                        retryq.push(Reverse((now + policy.backoff_cycles, next_arrival)));
-                    } else {
-                        shed.push(ShedRecord {
-                            id: next_arrival as u64,
-                            class: req.class,
-                            arrival: req.arrival,
-                            energy_pj: req.energy_pj,
-                            retries: 0,
-                        });
-                    }
-                    next_arrival += 1;
-                }
-                self.try_admit(
-                    now,
-                    &ctx,
-                    &mut cache,
-                    &mut lowered,
-                    &mut state,
-                    &mut msim,
-                    obs,
-                );
-            } else {
-                let step = msim.step().expect("event was pending");
-                if let Some(done) = step.completed {
-                    let idx = done.request as usize;
-                    state.completed_at[idx] = step.time;
-                    state.inflight_bytes[done.instance] -= lowered[idx].footprint;
-                    state.inflight_reqs[done.instance] -= 1;
-                    state.inflight_energy[done.instance] -= lowered[idx].energy_pj;
-                    if let OpRouter::Feedback(_, fb) = &router {
-                        let latency = (step.time - lowered[idx].arrival) as f64;
-                        state.observe_completion(
-                            fb,
-                            done.instance,
-                            latency,
-                            lowered[idx].energy_pj,
-                        );
-                        if obs.is_enabled() {
+                (Some(e), Some(x)) if x < e => ingest(&mut router, &mut shed, obs),
+                (None, Some(_)) => ingest(&mut router, &mut shed, obs),
+                (Some(_), _) => {
+                    let step = msim.step().expect("event was pending");
+                    let Some(done) = step.completed else {
+                        continue;
+                    };
+                    let req = done.request as usize;
+                    completed_at[req] = step.time;
+                    router.complete(req, done.instance, step.time);
+                    if obs.is_enabled() {
+                        if let Some(level) = router.pressure() {
                             obs.counter(
                                 PID_SCHEDULER,
                                 1,
                                 "serve.pressure",
                                 step.time,
-                                &[("level", state.pressure(fb) as f64)],
+                                &[("level", level as f64)],
                             );
                         }
-                    }
-                    if obs.is_enabled() {
                         obs.counter(
                             done.instance as u64,
                             TID_SERVE_INFLIGHT,
                             "serve.inflight_bytes",
                             step.time,
-                            &[("bytes", state.inflight_bytes[done.instance] as f64)],
+                            &[("bytes", router.booked_bytes(done.instance) as f64)],
                         );
                     }
-                    self.try_admit(
-                        step.time,
-                        &ctx,
-                        &mut cache,
-                        &mut lowered,
-                        &mut state,
-                        &mut msim,
-                        obs,
-                    );
+                    step.time
                 }
-            }
+            };
+            router.try_admit(
+                now,
+                usize::MAX,
+                |_| 0..1,
+                |a| {
+                    msim.submit(a.slot, a.req as u64, &a.lowering.job, now);
+                    placed_on[a.req] = a.slot;
+                    admitted_at[a.req] = now;
+                    energy_pj[a.slot] += a.lowering.energy_pj;
+                    if obs.is_enabled() {
+                        obs.counter(
+                            PID_SCHEDULER,
+                            0,
+                            "serve.wait_queue",
+                            now,
+                            &[("waiting", a.waiting as f64)],
+                        );
+                        obs.counter(
+                            a.slot as u64,
+                            TID_SERVE_INFLIGHT,
+                            "serve.inflight_bytes",
+                            now,
+                            &[("bytes", a.booked_bytes as f64)],
+                        );
+                        obs.counter(
+                            a.slot as u64,
+                            TID_SERVE_ENERGY,
+                            "serve.energy_pj",
+                            now,
+                            &[("pj", energy_pj[a.slot])],
+                        );
+                    }
+                },
+            );
         }
+        router.finish();
 
         if obs.is_enabled() {
             // Lifecycle spans are emitted once placement and completion are
@@ -938,23 +597,23 @@ impl ServeSim {
             // adaptive instants buffered during the loop (decay, feedback,
             // retry, late shed) interleave around the spans by timestamp, so
             // each track stays monotone.
-            let mut per_req: Vec<Vec<(u64, AdaptiveKind)>> = vec![Vec::new(); lowered.len()];
-            for ev in &state.events {
+            let mut per_req: Vec<Vec<(u64, AdaptiveKind)>> = vec![Vec::new(); specs.len()];
+            for ev in router.take_events() {
                 per_req[ev.req].push((ev.ts, ev.kind));
             }
-            for (i, req) in lowered.iter().enumerate() {
+            for (i, events) in per_req.iter().enumerate() {
                 let tid = i as u64;
-                let events = &per_req[i];
-                if !req.admit {
+                let admitted = admitted_at[i];
+                if admitted == u64::MAX {
                     for &(ts, kind) in events {
                         adaptive_instant(obs, tid, ts, kind);
                     }
                     continue;
                 }
-                let admitted = state.admitted_at[i];
+                let arrival = router.request(i).arrival;
                 // Retry instants precede the (effective) arrival; decay and
                 // feedback instants land between arrival and admission.
-                let split = events.partition_point(|&(ts, _)| ts <= req.arrival);
+                let split = events.partition_point(|&(ts, _)| ts <= arrival);
                 for &(ts, kind) in &events[..split] {
                     adaptive_instant(obs, tid, ts, kind);
                 }
@@ -962,9 +621,9 @@ impl ServeSim {
                     PID_REQUESTS,
                     tid,
                     "queued",
-                    req.arrival,
-                    admitted - req.arrival,
-                    &[("class", ArgValue::Str(class_name(req.class)))],
+                    arrival,
+                    admitted - arrival,
+                    &[("class", ArgValue::Str(class_name(specs[i].class)))],
                 );
                 for &(ts, kind) in &events[split..] {
                     adaptive_instant(obs, tid, ts, kind);
@@ -974,37 +633,36 @@ impl ServeSim {
                     tid,
                     "execute",
                     admitted,
-                    state.completed_at[i] - admitted,
-                    &[("instance", ArgValue::U64(state.placed_on[i] as u64))],
+                    completed_at[i] - admitted,
+                    &[("instance", ArgValue::U64(placed_on[i] as u64))],
                 );
             }
         }
 
-        let records: Vec<RequestRecord> = lowered
-            .iter()
-            .enumerate()
-            .filter(|(_, req)| req.admit)
-            .map(|(i, req)| {
+        let records: Vec<RequestRecord> = (0..specs.len())
+            .filter(|&i| admitted_at[i] != u64::MAX)
+            .map(|i| {
                 assert!(
-                    state.completed_at[i] != u64::MAX,
+                    completed_at[i] != u64::MAX,
                     "every admitted request must complete"
                 );
+                let (r, lowering) = (router.request(i), router.lowering(i));
                 RequestRecord {
                     id: i as u64,
-                    class: req.class,
-                    instance: state.placed_on[i],
-                    arrival: req.arrival,
-                    admitted: state.admitted_at[i],
-                    completed: state.completed_at[i],
-                    footprint_bytes: req.footprint,
-                    energy_pj: req.energy_pj,
-                    rerouted: req.rerouted,
-                    decayed: req.decayed,
-                    retries: req.retries,
+                    class: specs[i].class,
+                    instance: placed_on[i],
+                    arrival: r.arrival,
+                    admitted: admitted_at[i],
+                    completed: completed_at[i],
+                    footprint_bytes: lowering.footprint,
+                    energy_pj: lowering.energy_pj,
+                    rerouted: r.rerouted,
+                    decayed: r.decayed,
+                    retries: r.retries,
                 }
             })
             .collect();
-        *cache_stats = cache.stats();
+        *cache_stats = router.cache_stats();
         let multi = msim.report();
         obs.absorb(msim.take_trace());
         let latency = ServeReport::sketch_latencies(&records);
@@ -1014,303 +672,30 @@ impl ServeSim {
             total_cycles: multi.total_cycles,
             multi,
             budget_bytes: self.cfg.budget_bytes(),
-            peak_inflight_bytes: state.peak_inflight,
-            energy_pj_per_instance: state.energy_pj,
-            retried: state.retried,
+            peak_inflight_bytes: router.peak_bytes().to_vec(),
+            energy_pj_per_instance: energy_pj,
+            retried: router.retried(),
             latency,
         }
     }
-
-    /// The leaner lowering of retry `attempt`: the router's leanest point
-    /// (or the deployment point when the router has none) with its keep
-    /// ratio shrunk by `keep_factorᵃᵗᵗᵉᵐᵖᵗ`, floored at 1% keep.
-    pub(crate) fn retry_lowering(
-        &self,
-        cache: &mut LowerCache,
-        csim: &CycleSim,
-        router: &OpRouter,
-        spec: &RequestSpec,
-        policy: &RetryPolicy,
-        attempt: u32,
-    ) -> (OperatingPoint, PointLowering) {
-        let base = router.leaner().unwrap_or_else(|| self.cfg.op.clone());
-        let keep = (base.mean_keep() * policy.keep_factor.powi(attempt as i32)).max(0.01);
-        let op = base.with_uniform_keep(keep);
-        // The attempt-shrunk keep is part of the cache key, so repeat
-        // attempts at the same shrink level hit instead of re-running the
-        // full pipeline lowering.
-        let lowering = self.lower_at_cached(cache, csim, spec, &op);
-        (op, lowering)
-    }
-
-    /// Re-lowers every waiting request that has waited past the decay
-    /// threshold to the router's decay target, at most once per request.
-    /// With an energy budget, a decay that would break the budget is
-    /// rejected (the request keeps its current lowering).
-    fn decay_waiting(
-        &self,
-        now: u64,
-        ctx: &RouteCtx,
-        cache: &mut LowerCache,
-        lowered: &mut [Lowered],
-        state: &mut AdmissionState,
-    ) {
-        let Some(threshold) = self.cfg.decay_threshold else {
-            return;
-        };
-        for pos in 0..state.waiting.len() {
-            let req = state.waiting[pos];
-            if lowered[req].decay_checked || now.saturating_sub(lowered[req].arrival) < threshold {
-                continue;
-            }
-            lowered[req].decay_checked = true;
-            let Some(target) = ctx.router.decay_target(lowered[req].class) else {
-                continue;
-            };
-            if target == lowered[req].op {
-                continue;
-            }
-            let lowering = self.lower_at_cached(cache, ctx.csim, &lowered[req].spec, &target);
-            if self
-                .cfg
-                .energy_budget_pj_per_req
-                .is_some_and(|b| lowering.energy_pj > b)
-            {
-                continue;
-            }
-            let lw = &mut lowered[req];
-            lw.job = lowering.job;
-            lw.footprint = lowering.footprint;
-            lw.energy_pj = lowering.energy_pj;
-            lw.op = target;
-            lw.decayed = true;
-            lw.rerouted = true;
-            state.events.push(AdaptiveEvent {
-                req,
-                ts: now,
-                kind: AdaptiveKind::Decay,
-            });
-        }
-    }
-
-    /// Re-lowers the picked request when the measured pressure level moved
-    /// since it was last lowered (feedback router only). Decayed requests
-    /// are already at the lean end and are left alone; with an energy
-    /// budget, a re-lowering that would break the budget is rejected.
-    fn feedback_relower(
-        &self,
-        now: u64,
-        ctx: &RouteCtx,
-        cache: &mut LowerCache,
-        req: usize,
-        lowered: &mut [Lowered],
-        state: &mut AdmissionState,
-    ) {
-        let OpRouter::Feedback(front, fb) = ctx.router else {
-            return;
-        };
-        if lowered[req].decayed {
-            return;
-        }
-        let level = state.pressure(fb);
-        if level == lowered[req].level {
-            return;
-        }
-        let target = front.route_pressure(&lowered[req].class, level);
-        if target == lowered[req].op {
-            lowered[req].level = level;
-            return;
-        }
-        let lowering = self.lower_at_cached(cache, ctx.csim, &lowered[req].spec, &target);
-        lowered[req].level = level;
-        if self
-            .cfg
-            .energy_budget_pj_per_req
-            .is_some_and(|b| lowering.energy_pj > b)
-        {
-            return;
-        }
-        let lw = &mut lowered[req];
-        lw.job = lowering.job;
-        lw.footprint = lowering.footprint;
-        lw.energy_pj = lowering.energy_pj;
-        lw.op = target;
-        lw.rerouted = true;
-        state.events.push(AdaptiveEvent {
-            req,
-            ts: now,
-            kind: AdaptiveKind::Feedback(level),
-        });
-    }
-
-    /// The instance the next request lands on: among instances that fit the
-    /// byte budget (or are idle, so one oversized request always makes
-    /// progress), the least-booked one. With a per-instance energy budget,
-    /// instances without energy headroom are skipped too and booked-bytes
-    /// ties break toward the most energy headroom.
-    fn place(&self, fp: u64, energy_pj: f64, budget: u64, state: &AdmissionState) -> Option<usize> {
-        let fits = |i: usize| state.inflight_reqs[i] == 0 || state.inflight_bytes[i] + fp <= budget;
-        match self.cfg.instance_energy_budget_pj {
-            None => (0..state.inflight_bytes.len())
-                .filter(|&i| fits(i))
-                .min_by_key(|&i| (state.inflight_bytes[i], i)),
-            Some(eb) => (0..state.inflight_bytes.len())
-                .filter(|&i| {
-                    fits(i)
-                        && (state.inflight_reqs[i] == 0
-                            || state.inflight_energy[i] + energy_pj <= eb)
-                })
-                .min_by(|&a, &b| {
-                    state.inflight_bytes[a]
-                        .cmp(&state.inflight_bytes[b])
-                        .then_with(|| state.inflight_energy[a].total_cmp(&state.inflight_energy[b]))
-                        .then_with(|| a.cmp(&b))
-                }),
-        }
-    }
-
-    /// Position in `waiting` of the next request to try: the oldest starved
-    /// request if any has waited past the aging threshold, else the policy's
-    /// pick. The oldest is found by scanning every entry's arrival — pushes
-    /// happen in arrival order today, but requeue paths (retry re-arrivals,
-    /// adaptive re-routes) must not be able to starve an aged request by
-    /// perturbing the head of the list.
-    fn pick(&self, now: u64, waiting: &[usize], lowered: &[Lowered]) -> usize {
-        let oldest = waiting
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &req)| (lowered[req].arrival, req))
-            .map(|(pos, _)| pos)
-            .expect("waiting is non-empty");
-        let oldest_wait = now.saturating_sub(lowered[waiting[oldest]].arrival);
-        if oldest_wait >= self.cfg.aging_threshold {
-            return oldest;
-        }
-        match self.cfg.policy {
-            AdmitPolicy::Fifo => oldest,
-            AdmitPolicy::SmallestFirst => waiting
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &req)| (lowered[req].footprint, req))
-                .map(|(pos, _)| pos)
-                .expect("waiting is non-empty"),
-        }
-    }
-
-    /// Admits as many waiting requests as fit. Decay re-lowers over-waited
-    /// requests first; the picked request is feedback-re-lowered against the
-    /// current pressure level; then [`ServeSim::place`] chooses the
-    /// instance. An instance fits a request when the booked footprints stay
-    /// within the (overbooked) budget — or when it is completely idle, so a
-    /// single oversized request can always make progress.
-    #[allow(clippy::too_many_arguments)] // the event loop's full mutable state
-    fn try_admit(
-        &self,
-        now: u64,
-        ctx: &RouteCtx,
-        cache: &mut LowerCache,
-        lowered: &mut [Lowered],
-        state: &mut AdmissionState,
-        msim: &mut MultiPipelineSim,
-        obs: &mut TraceRecorder,
-    ) {
-        self.decay_waiting(now, ctx, cache, lowered, state);
-        let budget = self.cfg.budget_bytes();
-        while !state.waiting.is_empty() {
-            let pos = self.pick(now, &state.waiting, lowered);
-            let req = state.waiting[pos];
-            self.feedback_relower(now, ctx, cache, req, lowered, state);
-            let fp = lowered[req].footprint;
-            let target = self.place(fp, lowered[req].energy_pj, budget, state);
-            let Some(inst) = target else {
-                // Nothing fits the candidate now; completions will retry.
-                // Stopping (rather than skipping to a smaller request) is
-                // what keeps the aged head-of-line request from being
-                // overtaken forever.
-                return;
-            };
-            state.waiting.remove(pos);
-            msim.submit(inst, req as u64, &lowered[req].job, now);
-            state.inflight_bytes[inst] += fp;
-            state.inflight_reqs[inst] += 1;
-            state.inflight_energy[inst] += lowered[req].energy_pj;
-            state.peak_inflight[inst] = state.peak_inflight[inst].max(state.inflight_bytes[inst]);
-            state.energy_pj[inst] += lowered[req].energy_pj;
-            state.placed_on[req] = inst;
-            state.admitted_at[req] = now;
-            if obs.is_enabled() {
-                obs.counter(
-                    PID_SCHEDULER,
-                    0,
-                    "serve.wait_queue",
-                    now,
-                    &[("waiting", state.waiting.len() as f64)],
-                );
-                obs.counter(
-                    inst as u64,
-                    TID_SERVE_INFLIGHT,
-                    "serve.inflight_bytes",
-                    now,
-                    &[("bytes", state.inflight_bytes[inst] as f64)],
-                );
-                obs.counter(
-                    inst as u64,
-                    TID_SERVE_ENERGY,
-                    "serve.energy_pj",
-                    now,
-                    &[("pj", state.energy_pj[inst])],
-                );
-            }
-        }
-    }
 }
 
-/// One request lowered at one operating point (pre-budget). Cloning shares
-/// the lowered job, so this is the value type of the lowering cache.
-#[derive(Clone)]
-pub(crate) struct PointLowering {
-    pub(crate) job: Arc<PipelineJob>,
-    pub(crate) footprint: u64,
-    pub(crate) energy_pj: f64,
-}
-
-/// The `(request shape, operating point)`-keyed memo for
-/// [`ServeSim::lower_at`] results, shared by batch lowering and every
-/// adaptive re-lowering path (decay, feedback, retry). Accessed serially
-/// only, so hit/miss statistics are deterministic at any `SOFA_THREADS`.
-pub(crate) type LowerCache = LoweringCache<ShapeKey, PointLowering>;
-
-/// Immutable routing context threaded through the serial event loop: the
-/// cycle simulator the adaptive controller re-lowers with, and the router.
-struct RouteCtx<'a, 'b> {
-    csim: &'a CycleSim,
-    router: &'a OpRouter<'b>,
-}
-
-/// One adaptive-controller action. Buffered during the serial loop and
-/// emitted as a trace instant after the run — mid-loop emission would break
-/// per-track timestamp monotonicity against the post-run lifecycle spans.
-#[derive(Debug, Clone, Copy)]
-enum AdaptiveKind {
-    /// The decay threshold re-lowered a waiting request to the lean end.
-    Decay,
-    /// Feedback pressure re-lowered the picked request at this level.
-    Feedback(u8),
-    /// An over-budget attempt went to the retry queue (attempt number; 0 is
-    /// the initial submission).
-    RetryShed(u32),
-    /// A retry re-arrival fit the budget and joined the wait queue.
-    Retry(u32),
-    /// Retries exhausted: finally shed, at this last-attempt energy.
-    Shed(f64),
-}
-
-/// [`AdaptiveKind`] tagged with the request and cycle it happened at.
-#[derive(Debug, Clone, Copy)]
-struct AdaptiveEvent {
-    req: usize,
-    ts: u64,
-    kind: AdaptiveKind,
+/// Ingests the router's next arrival, recording a final shed and
+/// sampling the wait-queue depth of a queued request; returns its cycle.
+fn ingest(router: &mut Router, shed: &mut Vec<ShedRecord>, obs: &mut TraceRecorder) -> u64 {
+    let (now, ingest) = router.ingest_next();
+    match ingest {
+        Ingest::Queued if obs.is_enabled() => obs.counter(
+            PID_SCHEDULER,
+            0,
+            "serve.wait_queue",
+            now,
+            &[("waiting", router.waiting() as f64)],
+        ),
+        Ingest::Shed(record) => shed.push(record),
+        Ingest::Queued | Ingest::Backoff => {}
+    }
+    now
 }
 
 /// Emits one buffered adaptive instant on a request's lifecycle track.
@@ -1354,109 +739,13 @@ fn adaptive_instant(obs: &mut TraceRecorder, tid: u64, ts: u64, kind: AdaptiveKi
     }
 }
 
-/// Mutable scheduling state of one [`ServeSim::run_with`]: the wait queue
-/// (in arrival order), per-instance booked bytes / request counts / admitted
-/// energy, and the per-request placement/lifecycle slots filled in as the
-/// run progresses.
-#[derive(Debug)]
-struct AdmissionState {
-    waiting: Vec<usize>,
-    inflight_bytes: Vec<u64>,
-    inflight_reqs: Vec<usize>,
-    /// Booked (admitted-but-uncompleted) energy per instance, for the
-    /// per-instance energy budget and the feedback loop.
-    inflight_energy: Vec<f64>,
-    peak_inflight: Vec<u64>,
-    energy_pj: Vec<f64>,
-    placed_on: Vec<usize>,
-    admitted_at: Vec<u64>,
-    completed_at: Vec<u64>,
-    /// Retry re-arrivals admitted back into the wait queue.
-    retried: u64,
-    /// Adaptive instants buffered for post-run trace emission.
-    events: Vec<AdaptiveEvent>,
-    /// Feedback EWMAs: per-instance completion latency and per-request
-    /// energy, plus the wait-queue depth, sampled at every completion.
-    ewma_latency: Vec<f64>,
-    ewma_energy: Vec<f64>,
-    ewma_queue: f64,
-    fb_samples: u64,
-}
-
-impl AdmissionState {
-    fn new(instances: usize, requests: usize) -> Self {
-        AdmissionState {
-            waiting: Vec::new(),
-            inflight_bytes: vec![0; instances],
-            inflight_reqs: vec![0; instances],
-            inflight_energy: vec![0.0; instances],
-            peak_inflight: vec![0; instances],
-            energy_pj: vec![0.0; instances],
-            placed_on: vec![usize::MAX; requests],
-            admitted_at: vec![u64::MAX; requests],
-            completed_at: vec![u64::MAX; requests],
-            retried: 0,
-            events: Vec::new(),
-            ewma_latency: vec![0.0; instances],
-            ewma_energy: vec![0.0; instances],
-            ewma_queue: 0.0,
-            fb_samples: 0,
-        }
-    }
-
-    /// Folds one completion into the feedback EWMAs (`ewma ← α·sample +
-    /// (1−α)·ewma`; the first sample of a series seeds it directly).
-    fn observe_completion(&mut self, fb: &FeedbackConfig, inst: usize, latency: f64, energy: f64) {
-        let mix = |prev: f64, x: f64| {
-            if prev == 0.0 {
-                x
-            } else {
-                fb.alpha * x + (1.0 - fb.alpha) * prev
-            }
-        };
-        self.ewma_latency[inst] = mix(self.ewma_latency[inst], latency);
-        self.ewma_energy[inst] = mix(self.ewma_energy[inst], energy);
-        let depth = self.waiting.len() as f64;
-        self.ewma_queue = if self.fb_samples == 0 {
-            depth
-        } else {
-            fb.alpha * depth + (1.0 - fb.alpha) * self.ewma_queue
-        };
-        self.fb_samples += 1;
-    }
-
-    /// The discrete pressure level measured state maps to — 0 calm, 1 over
-    /// target, 2 badly over — per [`FeedbackConfig`]. Zero until the first
-    /// completion lands (no measurement, no pressure).
-    fn pressure(&self, fb: &FeedbackConfig) -> u8 {
-        if self.fb_samples == 0 {
-            return 0;
-        }
-        let hottest = self.ewma_latency.iter().copied().fold(0.0f64, f64::max);
-        let target = fb.target_latency_cycles as f64;
-        let queue_bar = fb.queue_depth_bar as f64;
-        let mut level = 0u8;
-        if hottest > target || self.ewma_queue > queue_bar {
-            level = 1;
-        }
-        if hottest > 2.0 * target || self.ewma_queue > 2.0 * queue_bar {
-            level = 2;
-        }
-        if let Some(bar) = fb.energy_bar_pj {
-            let hottest_energy = self.ewma_energy.iter().copied().fold(0.0f64, f64::max);
-            if hottest_energy > bar {
-                level = (level + 1).min(2);
-            }
-        }
-        level
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sofa_dse::{CandidateEval, DseCandidate, MetricVector};
+    use sofa_hw::accel::AttentionTask;
     use sofa_model::trace::TraceConfig;
+    use sofa_sim::CycleSim;
 
     fn small_cfg(instances: usize) -> ServeConfig {
         let mut cfg = ServeConfig::new(HwConfig::small(), instances);
@@ -1730,7 +1019,7 @@ mod tests {
     /// normal decode routing takes `keep_parity` (the only point clearing
     /// both bars), pressure 1 takes `heavy_fast`, pressure 2 and decay take
     /// `lossy_lean`.
-    fn adaptive_front() -> ParetoFront {
+    pub(crate) fn adaptive_front() -> ParetoFront {
         let entry = |keep: f64, bc: usize, loss: f64, cycles: u64, energy: f64| CandidateEval {
             candidate: DseCandidate {
                 keep_ratios: vec![keep, keep],
@@ -1752,52 +1041,44 @@ mod tests {
 
     #[test]
     fn aging_scans_for_the_true_oldest_not_just_the_head() {
-        // Regression: `pick` used to age only `waiting[0]`, so a requeue
+        // Regression: `pick` used to age only the queue head, so a requeue
         // (retry re-arrival, adaptive re-route) that left a fresh request at
         // the head let SmallestFirst starve the true oldest forever.
         let mut cfg = small_cfg(1);
         cfg.aging_threshold = 100_000;
-        let sim = ServeSim::new(cfg);
-        let mk = |arrival: u64, footprint: u64| Lowered {
-            class: RequestClass::Decode,
-            arrival,
-            spec: RequestSpec {
-                id: 0,
-                arrival_cycle: arrival,
-                class: RequestClass::Decode,
-                queries: 1,
-                seq_len: 64,
-                hidden: 64,
-                heads: 2,
-                keep_ratio: 0.25,
-            },
-            op: OperatingPoint::single(0.25, 64),
-            job: Arc::new(PipelineJob {
-                work: Vec::new(),
-                cycles: Vec::new(),
-            }),
-            footprint,
-            energy_pj: 1.0,
-            rerouted: false,
-            admit: true,
-            decayed: false,
-            decay_checked: false,
-            retries: 0,
-            level: 0,
+        let spec = |id: u64, arrival: u64, class: RequestClass, queries: usize| RequestSpec {
+            id,
+            arrival_cycle: arrival,
+            class,
+            queries,
+            seq_len: 64,
+            hidden: 64,
+            heads: 2,
+            keep_ratio: 0.25,
         };
-        // Head of the waiting list: a fresh, small request SmallestFirst
-        // loves. Behind it: the true oldest, large enough to lose every
-        // footprint comparison.
-        let lowered = vec![mk(500_000, 8), mk(0, 1_000)];
-        let waiting = vec![0usize, 1];
+        // Head of the waiting list: a fresh, small decode SmallestFirst
+        // loves. Behind it: the true oldest, a prefill large enough to lose
+        // every footprint comparison.
+        let starved = [
+            spec(0, 500_000, RequestClass::Decode, 1),
+            spec(1, 0, RequestClass::Prefill, 16),
+        ];
+        let mut router = Router::new(&cfg, OpRouter::TraceNative, &starved, 1, false);
+        assert!(router.lowering(0).footprint < router.lowering(1).footprint);
+        router.set_waiting(&[0, 1]);
         assert_eq!(
-            sim.pick(550_000, &waiting, &lowered),
+            router.pick(550_000, usize::MAX),
             1,
             "the starved request must be aged even when it is not the head"
         );
         // Below the threshold the policy pick still wins.
-        let fresh = vec![mk(40_000, 8), mk(0, 1_000)];
-        assert_eq!(sim.pick(50_000, &waiting, &fresh), 0);
+        let fresh = [
+            spec(0, 40_000, RequestClass::Decode, 1),
+            spec(1, 0, RequestClass::Prefill, 16),
+        ];
+        let mut router = Router::new(&cfg, OpRouter::TraceNative, &fresh, 1, false);
+        router.set_waiting(&[0, 1]);
+        assert_eq!(router.pick(50_000, usize::MAX), 0);
     }
 
     #[test]

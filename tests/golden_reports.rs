@@ -185,6 +185,214 @@ fn cycle_sim_exact_json_is_byte_stable() {
     assert_matches_golden("cycle_sim_exact.json", &json);
 }
 
+/// Order-sensitive FNV-1a of a string's bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Exact serving reports of both simulators over a grid of admission
+/// configurations: one JSON object per (simulator, topology, router,
+/// variant) point carrying FNV-1a checksums of the report's every field (its
+/// `{:?}` form), of the traced run's Chrome trace and metrics snapshot, the
+/// served / shed / total-cycle counts, and the lowering-cache counters. Any
+/// admission change that moves a pick, a placement, a retry, an energy sum
+/// or a trace event fails.
+///
+/// Fleet points leave out decay and `OpRouter::Feedback` (the fleet ignored
+/// both when this snapshot was recorded), and their cache counters are left
+/// unpinned under retry, whose re-lowerings may be looked up once per
+/// attempt rather than once per (shape, attempt).
+#[test]
+fn serve_router_exact_json_is_byte_stable() {
+    use sofa_dse::{CandidateEval, DseCandidate, MetricVector, ParetoFront};
+    use sofa_hw::config::HwConfig;
+    use sofa_model::trace::{RequestTrace, TraceConfig};
+    use sofa_model::OperatingPoint;
+    use sofa_obs::{MetricsRegistry, TraceRecorder};
+    use sofa_serve::{
+        AdmitPolicy, FeedbackConfig, FleetConfig, FleetReport, FleetServeSim, OpRouter,
+        RetryPolicy, ServeConfig, ServeSim,
+    };
+
+    // Three front points with distinct routed / cycle-leanest /
+    // energy-leanest picks, so decay, feedback and the energy reroute all
+    // change the lowering.
+    let entry = |keep: f64, bc: usize, loss: f64, cycles: u64, energy: f64| CandidateEval {
+        candidate: DseCandidate {
+            keep_ratios: vec![keep, keep],
+            tile_sizes: vec![bc, bc],
+        },
+        metrics: MetricVector {
+            loss,
+            cycles,
+            energy_pj: energy,
+            area_mm2: 5.0,
+        },
+    };
+    let front = ParetoFront::new(
+        &[
+            entry(0.25, 16, 0.10, 120, 6.0e7),
+            entry(0.4, 32, 0.11, 80, 9.0e7),
+            entry(0.05, 8, 0.30, 40, 2.0e7),
+        ],
+        &entry(0.25, 16, 0.12, 130, 7.0e7),
+    );
+    let feedback = FeedbackConfig::new(40_000);
+    let trace = |n: usize, rate: f64, seed: u64, seq_len: usize, prefill: usize| {
+        let mut tc = TraceConfig::new(n, rate, seed);
+        tc.seq_len = seq_len;
+        tc.hidden = 256;
+        tc.heads = 4;
+        tc.prefill_queries = prefill;
+        RequestTrace::generate(&tc)
+    };
+    // (name, edit) pairs shared by both grids; `budget` is the per-request
+    // energy ceiling of the grid's trace shape.
+    type Variant = (&'static str, fn(&mut ServeConfig, f64));
+    let variants: [Variant; 8] = [
+        ("base", |_, _| {}),
+        ("energy", |c, b| c.energy_budget_pj_per_req = Some(b)),
+        ("retry", |c, b| {
+            c.energy_budget_pj_per_req = Some(b);
+            c.retry = Some(RetryPolicy {
+                backoff_cycles: 20_000,
+                max_retries: 2,
+                keep_factor: 0.5,
+            });
+        }),
+        // Retries that mostly exhaust: one attempt, barely leaner.
+        ("retry_exhaust", |c, b| {
+            c.energy_budget_pj_per_req = Some(b);
+            c.retry = Some(RetryPolicy {
+                backoff_cycles: 20_000,
+                max_retries: 1,
+                keep_factor: 0.95,
+            });
+        }),
+        ("instance_energy", |c, _| {
+            c.instance_energy_budget_pj = Some(5.0e7)
+        }),
+        ("fifo", |c, _| c.policy = AdmitPolicy::Fifo),
+        ("aging0", |c, _| c.aging_threshold = 0),
+        ("nocache", |c, _| c.lowering_cache = false),
+    ];
+    let mut lines = Vec::new();
+
+    let serve_trace = trace(32, 300.0, 19, 512, 16);
+    let routers = [
+        ("native", OpRouter::TraceNative),
+        ("pareto", OpRouter::Pareto(&front)),
+        ("feedback", OpRouter::Feedback(&front, &feedback)),
+    ];
+    let serve_variants = variants.iter().copied().chain([(
+        "decay",
+        (|c, _| c.decay_threshold = Some(10_000)) as fn(&mut ServeConfig, f64),
+    )]);
+    for (variant, edit) in serve_variants {
+        for (router_name, router) in routers {
+            let mut cfg = ServeConfig::new(HwConfig::small(), 2);
+            cfg.op = OperatingPoint::single(0.25, 64);
+            edit(&mut cfg, 2.0e7);
+            let sim = ServeSim::new(cfg);
+            let (report, cache) = sim.run_with_cache_stats(&serve_trace, router);
+            let mut obs = TraceRecorder::enabled();
+            let mut metrics = MetricsRegistry::new();
+            let traced = sim.run_traced(&serve_trace, router, &mut obs, &mut metrics);
+            assert_eq!(report, traced, "tracing must not perturb the report");
+            lines.push(format!(
+                "{{\"case\":\"serve/{router_name}/{variant}\",\"report\":\"{:016x}\",\
+                 \"served\":{},\"shed\":{},\"retried\":{},\"total_cycles\":{},\
+                 \"trace\":\"{:016x}\",\"metrics\":\"{:016x}\",\"cache\":[{},{}]}}",
+                fnv1a(&format!("{report:?}")),
+                report.records.len(),
+                report.shed.len(),
+                report.retried,
+                report.total_cycles,
+                fnv1a(&obs.to_chrome_json()),
+                fnv1a(&metrics.to_json()),
+                cache.hits,
+                cache.misses,
+            ));
+        }
+    }
+
+    // Every field of a fleet report, in declaration order.
+    let fleet_fields = |r: &FleetReport| {
+        format!(
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            r.served,
+            r.shed,
+            r.rerouted,
+            r.retried,
+            r.prefills,
+            r.decodes,
+            r.latency,
+            r.queueing,
+            r.total_cycles,
+            r.nodes,
+            r.fabric,
+            r.energy_pj,
+            r.requests_per_node,
+            r.peak_inflight_bytes,
+            r.budget_bytes,
+        )
+    };
+    let fleet_trace = trace(48, 300.0, 42, 256, 8);
+    let fleet_variants = variants
+        .iter()
+        .copied()
+        .map(|(n, e)| (n, Some(e), None))
+        .chain([
+            ("window4", None, Some(4)),
+            ("retry_window4", Some(variants[2].1), Some(4)),
+        ]);
+    for (variant, edit, window) in fleet_variants {
+        for (nodes, ipn, disaggregate) in [(1, 1, false), (2, 2, false), (3, 2, true)] {
+            for (router_name, router) in &routers[..2] {
+                let mut cfg = FleetConfig::new(HwConfig::small(), nodes, ipn);
+                cfg.epoch_cycles = 4096;
+                cfg.disaggregate = disaggregate;
+                if let Some(edit) = edit {
+                    edit(&mut cfg.serve, 1.0e7);
+                }
+                if let Some(window) = window {
+                    cfg.admit_window = window;
+                }
+                let retrying = cfg.serve.retry.is_some();
+                let sim = FleetServeSim::new(cfg);
+                let (report, cache) = sim.run_with_cache_stats(&fleet_trace, *router);
+                let mut obs = TraceRecorder::enabled();
+                let mut metrics = MetricsRegistry::new();
+                let traced = sim.run_traced(&fleet_trace, *router, &mut obs, &mut metrics);
+                assert_eq!(report, traced, "tracing must not perturb the report");
+                let cache = if retrying {
+                    "null".to_string()
+                } else {
+                    format!("[{},{}]", cache.hits, cache.misses)
+                };
+                lines.push(format!(
+                    "{{\"case\":\"fleet{nodes}x{ipn}{}/{router_name}/{variant}\",\
+                     \"report\":\"{:016x}\",\"served\":{},\"shed\":{},\"retried\":{},\
+                     \"total_cycles\":{},\"trace\":\"{:016x}\",\"metrics\":\"{:016x}\",\
+                     \"cache\":{cache}}}",
+                    if disaggregate { "d" } else { "" },
+                    fnv1a(&fleet_fields(&report)),
+                    report.served,
+                    report.shed,
+                    report.retried,
+                    report.total_cycles,
+                    fnv1a(&obs.to_chrome_json()),
+                    fnv1a(&metrics.to_json()),
+                ));
+            }
+        }
+    }
+    let json = format!("[\n{}\n]\n", lines.join(",\n"));
+    assert_matches_golden("serve_router_exact.json", &json);
+}
+
 #[test]
 fn golden_snapshots_are_valid_single_line_json_objects() {
     // A sanity net over the snapshot files themselves (they are consumed by

@@ -280,6 +280,66 @@ proptest! {
             prop_assert!(r.admitted >= r.arrival && r.completed > r.admitted);
         }
     }
+
+    #[test]
+    fn serving_conserves_requests_under_budgets_and_retry(
+        seed in 0u64..1_000,
+        budget in 4.0e6f64..1.5e7,
+        instance_budget in 1.0e7f64..6.0e7,
+        knobs in 0usize..8,
+        nodes in 1usize..4,
+    ) {
+        use sofa_hw::config::HwConfig;
+        use sofa_model::trace::{RequestClass, RequestTrace, TraceConfig};
+        use sofa_serve::{FleetConfig, FleetServeSim, OpRouter, RetryPolicy, ServeSim};
+
+        // Every arrival ends as exactly one served or shed request, per
+        // class, whichever of the energy budget, client retry and the
+        // per-instance energy budget is on. The router's end-of-run
+        // booking check (a debug assertion: every slot's booked bytes and
+        // requests back to zero) runs on both paths in this test build.
+        let mut tc = TraceConfig::new(16, 300.0, seed);
+        tc.seq_len = 256;
+        tc.hidden = 256;
+        tc.heads = 4;
+        tc.prefill_queries = 8;
+        let trace = RequestTrace::generate(&tc);
+        let mut cfg = FleetConfig::new(HwConfig::small(), nodes, 2);
+        cfg.epoch_cycles = 4096;
+        if knobs & 1 != 0 {
+            cfg.serve.energy_budget_pj_per_req = Some(budget);
+        }
+        if knobs & 2 != 0 {
+            cfg.serve.retry = Some(RetryPolicy {
+                backoff_cycles: 20_000,
+                max_retries: 2,
+                keep_factor: 0.5,
+            });
+        }
+        if knobs & 4 != 0 {
+            cfg.serve.instance_energy_budget_pj = Some(instance_budget);
+        }
+        let arrived = |class: RequestClass| {
+            trace.requests.iter().filter(|r| r.class == class).count()
+        };
+
+        let single = ServeSim::new(cfg.serve.clone()).run(&trace);
+        for class in [RequestClass::Prefill, RequestClass::Decode] {
+            let served = single.records.iter().filter(|r| r.class == class).count();
+            let shed = single.shed.iter().filter(|r| r.class == class).count();
+            prop_assert_eq!(served + shed, arrived(class), "{:?}", class);
+        }
+        let mut ids: Vec<u64> = single.records.iter().map(|r| r.id).collect();
+        ids.extend(single.shed.iter().map(|r| r.id));
+        ids.sort_unstable();
+        prop_assert_eq!(ids, (0..trace.len() as u64).collect::<Vec<_>>());
+
+        let fleet = FleetServeSim::new(cfg).run(&trace, OpRouter::TraceNative);
+        prop_assert_eq!(fleet.prefills + fleet.decodes, fleet.served);
+        prop_assert!(fleet.prefills as usize <= arrived(RequestClass::Prefill));
+        prop_assert!(fleet.decodes as usize <= arrived(RequestClass::Decode));
+        prop_assert_eq!(fleet.served + fleet.shed, trace.len() as u64);
+    }
 }
 
 // The hardware-aware DSE lowers every candidate through the full pipeline +
@@ -321,14 +381,16 @@ proptest! {
         nodes in 1usize..4,
         disaggregate in prop::bool::ANY,
     ) {
+        use sofa_dse::{CandidateEval, DseCandidate, MetricVector, ParetoFront};
         use sofa_hw::config::HwConfig;
         use sofa_model::trace::{RequestTrace, TraceConfig};
-        use sofa_serve::{FleetConfig, FleetServeSim, OpRouter};
+        use sofa_serve::{FeedbackConfig, FleetConfig, FleetServeSim, OpRouter};
 
         // Nodes step in parallel between synchronization epochs, so the
         // whole fleet report — sketches, fabric stats, per-node cycle
         // reports — must be a pure function of (config, trace) at any
-        // SOFA_THREADS.
+        // SOFA_THREADS. The second case adds decay and feedback routing,
+        // whose EWMAs are sampled in the serial boundary step.
         let nodes = if disaggregate { nodes.max(2) } else { nodes };
         let mut tc = TraceConfig::new(16, 120.0, seed);
         tc.seq_len = 256;
@@ -339,16 +401,28 @@ proptest! {
         let mut cfg = FleetConfig::new(HwConfig::small(), nodes, 2);
         cfg.epoch_cycles = 4096;
         cfg.disaggregate = disaggregate;
-
-        let reference = sofa_par::with_threads(1, || {
-            FleetServeSim::new(cfg.clone()).run(&trace, OpRouter::TraceNative)
-        });
-        prop_assert_eq!(reference.served, 16);
-        for threads in [1usize, 2, 8] {
-            let got = sofa_par::with_threads(threads, || {
-                FleetServeSim::new(cfg.clone()).run(&trace, OpRouter::TraceNative)
+        let entry = |keep: f64, bc: usize, loss: f64, cycles: u64, energy_pj: f64| CandidateEval {
+            candidate: DseCandidate { keep_ratios: vec![keep], tile_sizes: vec![bc] },
+            metrics: MetricVector { loss, cycles, energy_pj, area_mm2: 5.0 },
+        };
+        let front = ParetoFront::new(
+            &[entry(0.25, 16, 0.10, 120, 6.0e7), entry(0.05, 8, 0.30, 40, 2.0e7)],
+            &entry(0.25, 16, 0.12, 130, 7.0e7),
+        );
+        let hot = FeedbackConfig::new(1);
+        let adaptive = OpRouter::Feedback(&front, &hot);
+        for (router, decay) in [(OpRouter::TraceNative, None), (adaptive, Some(2_048))] {
+            cfg.serve.decay_threshold = decay;
+            let reference = sofa_par::with_threads(1, || {
+                FleetServeSim::new(cfg.clone()).run(&trace, router)
             });
-            prop_assert_eq!(&got, &reference, "threads={}", threads);
+            prop_assert_eq!(reference.served, 16);
+            for threads in [1usize, 2, 8] {
+                let got = sofa_par::with_threads(threads, || {
+                    FleetServeSim::new(cfg.clone()).run(&trace, router)
+                });
+                prop_assert_eq!(&got, &reference, "threads={}", threads);
+            }
         }
     }
 
