@@ -1,6 +1,6 @@
-//! One function per paper figure/table. Each returns a [`Table`] so the thin
-//! binaries in `src/bin/` (and the integration tests) can render or inspect
-//! the numbers.
+//! One function per paper figure/table. Each returns a [`Table`] so the
+//! registry (run through `harness exp`) and the integration tests can render
+//! or inspect the numbers.
 //!
 //! Experiments that require the authors' silicon or GPU measurements use the
 //! calibration constants documented in `sofa-baselines` (and flagged in
@@ -739,8 +739,8 @@ pub fn table4_power() -> Table {
 /// The task grid the cycle-vs-analytic experiment sweeps: a compute-bound
 /// block (moderate parallelism, high keep ratios) and a memory-bound block
 /// (high token parallelism, aggressive pruning → KV streaming dominates).
-/// Public because the CI regression gate (`check_regression`) re-checks the
-/// same grid against a hard tolerance.
+/// Public because the `cycle_sim_fidelity` gate re-checks the same grid
+/// against a hard tolerance.
 pub fn cycle_sim_tasks() -> Vec<AttentionTask> {
     let mut tasks = Vec::new();
     for (t, s, keep, bc) in [
@@ -1028,7 +1028,7 @@ pub fn par_scaling() -> Table {
 /// the default probe grid and all four scalarization profiles.
 /// Deterministic and bit-identical at any `SOFA_THREADS`. The search is the
 /// dominant cost of every consumer, and several of them run in one process
-/// (`all_experiments`, the golden-report tests), so the result is computed
+/// (`harness exp --all`, the golden-report tests), so the result is computed
 /// once and cloned — callers that need a genuinely fresh run (the gate's
 /// determinism check) use [`dse_pareto_report_fresh`].
 pub fn dse_pareto_report() -> dse::DseReport {
@@ -1351,13 +1351,17 @@ pub fn serve_adaptive_table(study: &AdaptiveServeStudy, decode_op: &OperatingPoi
 /// at `Bc = 64` — 8 context tiles per request) so million-request traces
 /// stay tractable in the CI smoke job.
 fn fleet_trace(num_requests: usize, arrivals_per_mcycle: f64, seed: u64) -> RequestTrace {
+    RequestTrace::generate(&fleet_trace_config(num_requests, arrivals_per_mcycle, seed))
+}
+
+fn fleet_trace_config(num_requests: usize, arrivals_per_mcycle: f64, seed: u64) -> TraceConfig {
     let mut tc = TraceConfig::new(num_requests, arrivals_per_mcycle, seed);
     tc.seq_len = 512;
     tc.hidden = 512;
     tc.heads = 8;
     tc.prefill_queries = 32;
     tc.keep_ratio = 0.25;
-    RequestTrace::generate(&tc)
+    tc
 }
 
 /// The fleet configuration of the experiments: paper-default nodes, a
@@ -1425,29 +1429,39 @@ pub fn serve_fleet() -> Table {
     t
 }
 
-/// One fleet run at explicit scale — the entry point of the `serve_fleet`
-/// binary's `--requests/--nodes/--instances-per-node/--rate` mode, sized by
-/// CI up to a million requests on 64 simulated instances. Deterministic and
-/// bit-identical at any `SOFA_THREADS`, which CI checks by byte-comparing
-/// the JSON artifact across thread counts.
+/// One fleet run at explicit scale — what `harness exp serve_fleet
+/// --requests N [--rate F] [--nodes N] [--instances-per-node N]
+/// [--disaggregate]` runs, and the `serve_fleet_mega` experiment at a
+/// million requests on 64 simulated instances. Deterministic and
+/// bit-identical at any `SOFA_THREADS`, which the `serve_fleet_mega` spec
+/// checks byte for byte across thread counts.
+///
+/// # Errors
+///
+/// Returns the validation message of the trace or fleet configuration when
+/// the scale is unusable (zero requests, a non-positive rate, zero nodes or
+/// instances).
 pub fn serve_fleet_scaled(
     requests: usize,
     rate: f64,
     nodes: usize,
     instances_per_node: usize,
     disaggregate: bool,
-) -> Table {
-    let mut t = Table::new("Fleet  Sharded serving at scale", &FLEET_HEADERS);
-    let trace = fleet_trace(requests, rate, 31);
+) -> Result<Table, String> {
+    let tc = fleet_trace_config(requests, rate, 31);
+    tc.validate()?;
     let mut cfg = fleet_config(nodes, instances_per_node);
     cfg.disaggregate = disaggregate;
+    cfg.validate()?;
+    let mut t = Table::new("Fleet  Sharded serving at scale", &FLEET_HEADERS);
+    let trace = RequestTrace::generate(&tc);
     let report = FleetServeSim::new(cfg).run(&trace, OpRouter::TraceNative);
     let label = format!(
         "{requests}req {nodes}x{instances_per_node}{}",
         if disaggregate { " disagg" } else { "" }
     );
     t.add_row(fleet_row(&label, &report));
-    t
+    Ok(t)
 }
 
 /// The 1-node × 1-instance consistency pair behind CI regression gate 6:
@@ -1472,7 +1486,7 @@ pub fn serve_fleet_consistency() -> (FleetReport, ServeReport) {
 // Observability (sofa-obs)
 // ---------------------------------------------------------------------------
 
-/// The pinned observability run shared by the `serve_trace` binary, its
+/// The pinned observability run shared by the `serve_trace` experiment, its
 /// golden trace and CI regression gate 5: the routed-serving trace of
 /// [`serve_routed_study`] served under a ¾-of-default per-request energy
 /// budget (so reroute *and* shed instants appear in the trace), traced end

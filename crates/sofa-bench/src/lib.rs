@@ -1,12 +1,12 @@
-//! Benchmark harness regenerating every table and figure of the paper's
-//! evaluation section.
+//! The experiments regenerating every table and figure of the paper's
+//! evaluation section, plus the simulation, serving and DSE studies.
 //!
 //! Each experiment is a library function in [`experiments`] that returns a
 //! [`Table`]; the typed [`registry`] names every runnable experiment and
-//! drives the thin binaries in `src/bin/` (via [`registry::run_bin`]), the
-//! `all_experiments` fan-out, the spec-driven `sofa-harness` runner, and
-//! the generated `docs/EXPERIMENTS.md` catalogue — so none of them can
-//! drift from the code.
+//! drives the one entry point, `harness exp NAME` (and its `--all`
+//! fan-out), the spec-driven `sofa-harness` runner, and the generated
+//! `docs/EXPERIMENTS.md` catalogue — so none of them can drift from the
+//! code.
 
 pub mod experiments;
 pub mod registry;

@@ -1,8 +1,8 @@
 //! The typed experiment registry: one entry per runnable experiment, with
-//! everything the consumers need to stay in sync — the `all_experiments`
-//! fan-out, the thin per-experiment binaries ([`run_bin`]), the spec-driven
-//! `sofa-harness` runner (which looks experiments up by name), and the
-//! generated `docs/EXPERIMENTS.md` catalogue (`harness list --markdown`).
+//! everything the consumers need to stay in sync — `harness exp NAME` and
+//! its `--all` fan-out, the spec-driven `sofa-harness` runner (both look
+//! experiments up by name), and the generated `docs/EXPERIMENTS.md`
+//! catalogue (`harness list --markdown`).
 //!
 //! An experiment run produces an [`ExperimentOutput`]: the tables it
 //! renders, named scalar/series *metrics* for gate predicates (tolerance,
@@ -12,7 +12,7 @@
 //! lets a spec file express a regression gate declaratively.
 
 use crate::experiments;
-use crate::report::{print_and_write, Table};
+use crate::report::Table;
 use sofa_hw::config::HwConfig;
 use sofa_sim::CycleSim;
 use std::collections::BTreeMap;
@@ -89,15 +89,12 @@ impl ExperimentOutput {
 pub struct ExperimentEntry {
     /// Registry key — what spec files name in their `experiment` field.
     pub name: &'static str,
-    /// The thin binary that runs it, if one exists (`None` for gate-only
-    /// experiments that exist to export metrics).
-    pub bin: Option<&'static str>,
     /// One-line description (the generated catalogue's prose column).
     pub about: &'static str,
     /// `true` for reproductions of the paper's figures/tables; `false`
     /// for the simulation / serving / DSE studies that go beyond it.
     pub paper: bool,
-    /// Run by the `all_experiments` fan-out.
+    /// Run by the `harness exp --all` fan-out.
     pub in_all: bool,
     /// Must run on the main thread, after any parallel fan-out (the
     /// `par_scaling` wall-time study — inside a parallel region `sofa-par`
@@ -241,8 +238,8 @@ pub fn fleet_consistency_output_from(
 }
 
 /// The observability run as an output: the serving summary plus the Chrome
-/// trace and metrics snapshot as named texts, byte-identical to what the
-/// `serve_trace` binary writes.
+/// trace and metrics snapshot as named texts (the `serve_trace` spec writes
+/// both as artifacts).
 fn serve_trace_output() -> ExperimentOutput {
     let (report, obs, metrics) = experiments::serve_trace_observed();
     let summary = format!("{}trace: {} events\n", report.summary(), obs.len());
@@ -253,7 +250,7 @@ fn serve_trace_output() -> ExperimentOutput {
 }
 
 /// The full registry, in canonical order: the paper artefacts first (the
-/// order `all_experiments` prints them), then the studies and gate-only
+/// order `harness exp --all` prints them), then the studies and gate-only
 /// experiments.
 pub fn registry() -> Vec<ExperimentEntry> {
     fn paper(
@@ -263,7 +260,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
     ) -> ExperimentEntry {
         ExperimentEntry {
             name,
-            bin: Some(name),
             about,
             paper: true,
             in_all: true,
@@ -273,14 +269,12 @@ pub fn registry() -> Vec<ExperimentEntry> {
     }
     fn study(
         name: &'static str,
-        bin: Option<&'static str>,
         about: &'static str,
         in_all: bool,
         run: fn() -> ExperimentOutput,
     ) -> ExperimentEntry {
         ExperimentEntry {
             name,
-            bin,
             about,
             paper: false,
             in_all,
@@ -384,7 +378,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "sim_cycle_vs_analytic",
-            Some("sim_cycle_vs_analytic"),
             "cycle simulator vs analytic model across compute- and memory-bound configs, plus the per-stage stall breakdown",
             true,
             || {
@@ -396,21 +389,18 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "dse_pareto",
-            Some("dse_pareto"),
             "hardware-aware DSE Pareto front + tuned-vs-default serving A/B (process-cached search)",
             true,
             || dse_output_from(&experiments::dse_pareto_report()),
         ),
         study(
             "serve_routed",
-            Some("serve_routed"),
             "paper-default vs tuned vs Pareto-routed vs budgeted routing on one mixed trace",
             true,
             || routed_output_from(&experiments::serve_routed_study()),
         ),
         ExperimentEntry {
             name: "par_scaling",
-            bin: Some("par_scaling"),
             about: "wall-time vs worker threads with a bit-identity re-check column (host-dependent, never gated)",
             paper: false,
             in_all: true,
@@ -419,9 +409,11 @@ pub fn registry() -> Vec<ExperimentEntry> {
         },
         study(
             "serve_sweep",
-            Some("serve_sweep"),
             "continuous-batching latency percentiles + multi-instance strong scaling",
             false,
+            // Sequential on purpose: each study fans its own (instances,
+            // load) grid out across the cores, which beats pitting the two
+            // whole studies against each other on a shared pool.
             || {
                 ExperimentOutput::of_tables(vec![
                     experiments::serve_throughput_latency(),
@@ -431,7 +423,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "serve_adaptive",
-            Some("serve_adaptive"),
             "closed-loop controller A/B: the overload trace under static budgeted Pareto routing vs decay + measured-state feedback + client shed/retry",
             false,
             || {
@@ -442,25 +433,22 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "serve_fleet",
-            Some("serve_fleet"),
             "fleet-scale sharded serving: the pinned 1/2/4-node grid over the inter-node fabric",
             false,
             || tables(experiments::serve_fleet),
         ),
         study(
             "serve_fleet_mega",
-            None,
             "one million requests through 8 nodes x 8 instances — the CI thread-matrix byte-identity scenario",
             false,
             || {
-                ExperimentOutput::of_tables(vec![experiments::serve_fleet_scaled(
-                    1_000_000, 400.0, 8, 8, false,
-                )])
+                let table = experiments::serve_fleet_scaled(1_000_000, 400.0, 8, 8, false)
+                    .expect("the pinned mega-run scale is valid");
+                ExperimentOutput::of_tables(vec![table])
             },
         ),
         study(
             "serve_fleet_consistency",
-            None,
             "served counts and p95 drift between the 1x1 fleet path and the single-node scheduler",
             false,
             || {
@@ -470,21 +458,18 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "serve_trace",
-            Some("serve_trace"),
             "the budgeted routed-serving scenario traced end to end in simulated cycles (Chrome trace + metrics snapshot)",
             false,
             serve_trace_output,
         ),
         study(
             "cycle_sim_fidelity",
-            None,
             "per-config relative error of the cycle simulator vs the analytic model on the compute-bound grid",
             false,
             cycle_sim_fidelity_output,
         ),
         study(
             "dse_pareto_fresh",
-            None,
             "dse_pareto without the process-wide cache: every run performs the full search, so determinism predicates are meaningful",
             false,
             || dse_output_from(&experiments::dse_pareto_report_fresh()),
@@ -496,7 +481,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         // measure the degraded path.
         ExperimentEntry {
             name: "perf_lowering",
-            bin: None,
             about: "serving lowering-cache wall time + hit rate on the routed and adaptive traces (hit-rate floors gate; wall time budgeted, never snapshotted)",
             paper: false,
             in_all: true,
@@ -505,7 +489,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         },
         ExperimentEntry {
             name: "perf_fleet_mega",
-            bin: None,
             about: "1M-request fleet wall time + per-node lowering-cache hit rate (hit-rate floor gates; wall budget advisory)",
             paper: false,
             in_all: false,
@@ -514,7 +497,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         },
         ExperimentEntry {
             name: "perf_dse",
-            bin: None,
             about: "fresh DSE search wall time + candidate-dedup counters (dedup liveness gates; wall time budgeted)",
             paper: false,
             in_all: true,
@@ -529,44 +511,17 @@ pub fn find(name: &str) -> Option<ExperimentEntry> {
     registry().into_iter().find(|e| e.name == name)
 }
 
-/// The shared `main` of every thin experiment binary: looks `name` up,
-/// runs it, prints its summary text (if any) and tables, and honours the
-/// `--json <path>` artifact convention.
-///
-/// # Panics
-///
-/// Panics if `name` is not registered — a bin/registry mismatch is a bug.
-pub fn run_bin(name: &str) {
-    let entry = find(name).unwrap_or_else(|| panic!("experiment {name:?} is not registered"));
-    let out = (entry.run)();
-    if let Some(summary) = out.texts.get("summary") {
-        print!("{summary}");
-    }
-    print_and_write(&out.tables);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn names_are_unique_and_bins_match() {
+    fn names_are_unique() {
         let reg = registry();
         let mut names: Vec<&str> = reg.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), reg.len(), "duplicate registry names");
-        for e in &reg {
-            if let Some(bin) = e.bin {
-                // Every named bin is the experiment itself (the fleet and
-                // trace binaries add flag handling on top).
-                assert!(
-                    bin == e.name,
-                    "bin {bin} does not match registry key {}",
-                    e.name
-                );
-            }
-        }
     }
 
     #[test]

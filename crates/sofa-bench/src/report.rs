@@ -1,4 +1,4 @@
-//! Lightweight plain-text table reporting used by every experiment binary.
+//! Lightweight plain-text table reporting used by every experiment.
 
 /// A simple column-aligned table with a title.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -80,7 +80,8 @@ impl Table {
 
     /// Serialises the table as a JSON object
     /// (`{"title": …, "headers": […], "rows": [[…], …]}`) — the machine-
-    /// readable artifact format the CI bench-smoke job uploads per PR.
+    /// readable artifact format `harness exp --json` and the spec artifacts
+    /// write.
     pub fn to_json(&self) -> String {
         let row_json = |cells: &[String]| {
             format!(
@@ -135,70 +136,6 @@ pub fn tables_to_json(tables: &[Table]) -> String {
             .collect::<Vec<_>>()
             .join(",")
     )
-}
-
-/// If the process arguments contain `--json <path>`, writes `tables` there
-/// (creating parent directories) and returns the path. Every experiment
-/// binary calls this after printing, so CI can collect artifacts without
-/// parsing stdout.
-///
-/// # Panics
-///
-/// Panics if `--json` is given without a path or the file cannot be written.
-pub fn write_json_artifact_from_args(tables: &[Table]) -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            let path =
-                std::path::PathBuf::from(args.next().expect("--json requires an output path"));
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).expect("create artifact directory");
-                }
-            }
-            std::fs::write(&path, tables_to_json(tables)).expect("write JSON artifact");
-            return Some(path);
-        }
-    }
-    None
-}
-
-/// Writes `text` to `path`, creating parent directories, and echoes the
-/// path on stderr — the same artifact convention as
-/// [`write_json_artifact_from_args`], for binaries whose artifacts are not
-/// tables (the `serve_trace` trace and metrics files).
-///
-/// # Panics
-///
-/// Panics if the file cannot be written.
-pub fn write_text_artifact(path: &std::path::Path, text: &str) {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create artifact directory");
-        }
-    }
-    std::fs::write(path, text).expect("write artifact");
-    eprintln!("wrote {}", path.display());
-}
-
-/// The tail every experiment binary shares: prints `tables` to stdout
-/// (blank-line separated) and, when the process arguments contain
-/// `--json <path>`, also writes them there via
-/// [`write_json_artifact_from_args`], echoing the path on stderr so CI
-/// logs show where the artifact landed.
-///
-/// # Panics
-///
-/// Panics if `--json` is given without a path or the file cannot be
-/// written.
-pub fn print_and_write(tables: &[Table]) {
-    for t in tables {
-        t.print();
-        println!();
-    }
-    if let Some(path) = write_json_artifact_from_args(tables) {
-        eprintln!("wrote {}", path.display());
-    }
 }
 
 /// Formats a float with 3 significant decimals.

@@ -84,32 +84,36 @@ pub fn experiments_markdown(specs: &[Spec]) -> String {
 
     out.push_str("## Paper artefacts\n\n");
     out.push_str(
-        "Each binary regenerates one figure or table from the paper. All of\n\
-         them run inside `all_experiments`, accept `--json <path>` to write\n\
-         the table as a JSON artifact, and are deterministic at any\n\
+        "Every experiment runs through one binary:\n\n\
+         ```\ncargo run --release -p sofa-harness --bin harness -- exp NAME [--json PATH]\n```\n\n\
+         Each command below regenerates one figure or table from the paper.\n\
+         All of them run inside `harness exp --all`, accept `--json <path>`\n\
+         to write the tables as a JSON artifact, and are deterministic at any\n\
          `SOFA_THREADS` setting.\n\n",
     );
-    out.push_str("| Binary | Reproduces |\n|---|---|\n");
+    out.push_str("| Command | Reproduces |\n|---|---|\n");
     for e in entries.iter().filter(|e| e.paper) {
-        let bin = e.bin.expect("paper entries have binaries");
-        out.push_str(&format!("| `{bin}` | {} |\n", e.about));
+        out.push_str(&format!("| `harness exp {}` | {} |\n", e.name, e.about));
     }
     out.push_str(
-        "| `all_experiments` | every experiment above plus the studies below, in one run |\n",
+        "| `harness exp --all` | every experiment above plus the studies marked in the next table, in one run |\n",
     );
 
     out.push_str("\n## Studies\n\n");
     out.push_str(
         "Beyond the paper's own artefacts, these experiments exercise the\n\
-         simulator, the design-space explorer and the serving stack. Entries\n\
-         without a binary are harness-only (they exist to be gated, not\n\
-         browsed); `serve_fleet` also accepts `--requests/--rate/--nodes/\
-         --instances-per-node/--disaggregate` for scaled runs.\n\n",
+         simulator, the design-space explorer and the serving stack.\n\
+         `harness exp serve_fleet` also accepts `--requests N [--rate F]\n\
+         [--nodes N] [--instances-per-node N] [--disaggregate]` for one run\n\
+         at explicit scale.\n\n",
     );
-    out.push_str("| Experiment | Binary | What it measures |\n|---|---|---|\n");
+    out.push_str("| Command | In `--all` | What it measures |\n|---|---|---|\n");
     for e in entries.iter().filter(|e| !e.paper) {
-        let bin = e.bin.map_or("-".to_string(), |b| format!("`{b}`"));
-        out.push_str(&format!("| `{}` | {bin} | {} |\n", e.name, e.about));
+        let in_all = if e.in_all { "yes" } else { "-" };
+        out.push_str(&format!(
+            "| `harness exp {}` | {in_all} | {} |\n",
+            e.name, e.about
+        ));
     }
 
     out.push_str("\n## Gated specs\n\n");
@@ -150,10 +154,12 @@ pub fn experiments_markdown(specs: &[Spec]) -> String {
 
     out.push_str(
         "\n## Benchmarks\n\n\
-         `cargo bench` runs the criterion-shim microbenchmarks in\n\
-         `benches/` (kernel-level: sparse GEMM, top-k, FlashAttention\n\
-         tiles). They are not gated — the gates above track end-to-end\n\
-         metrics, which is what the paper claims are about.\n",
+         Host time is measured by the standalone `perfbench` package, whose\n\
+         workloads and metrics `BENCHMARK.json` declares. Its untraced runs\n\
+         report end-to-end rates; `--trace 1` adds one rate per layer,\n\
+         including the DLZS, SADS and SU-FA kernels\n\
+         (`core.dlzs_ns_per_score`, `core.sads_ns_per_score`,\n\
+         `core.sufa_ns_per_kept_pair`). See `perfbench/README.md`.\n",
     );
     out
 }

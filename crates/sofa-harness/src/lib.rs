@@ -6,17 +6,19 @@
 //! *predicates* drawn from a small algebra ([`spec::Predicate`]):
 //! `tolerance`, `dominance`, `non_empty`, `two_run_determinism`,
 //! `thread_byte_identity`, `golden_match`, `trace_valid` and
-//! `count_equality`. One binary (`harness`) executes them:
+//! `count_equality`. One binary (`harness`) executes them, and is also
+//! the one entry point for running an experiment by hand:
 //!
 //! ```text
 //! harness run  [--all | --spec NAME]... [--json PATH] [--update-golden] [--specs DIR]
 //! harness check [--specs DIR]           # lint every spec without running it
 //! harness list [--markdown] [--specs DIR]
+//! harness exp  NAME [--json PATH]       # one experiment's tables
+//! harness exp  --all                    # every paper artefact and study
 //! ```
 //!
-//! `harness run` keeps the regression-gate exit-code contract the old
-//! `check_regression` binary established: `0` all predicates passed, `1` a
-//! gate tripped (a genuine regression), `2` an artifact was missing,
+//! `harness run` exits `0` when all predicates passed, `1` when a gate
+//! tripped (a genuine regression), and `2` when an artifact was missing,
 //! unwritable or unparseable (an infrastructure problem — fix the
 //! pipeline, not the code). Adding a scenario or a gate is a spec-file
 //! diff, not a new binary + golden wiring + CI step + gate clause.

@@ -229,7 +229,15 @@ pub fn run_spec(spec: &Spec, opts: &RunOptions) -> SpecResult {
     result
 }
 
-fn write_artifact(path: &Path, body: &str) -> Result<(), String> {
+/// Writes `body` to `path`, creating parent directories. The one artifact
+/// writer behind spec artifacts, `harness run --json` and `harness exp
+/// --json`.
+///
+/// # Errors
+///
+/// Returns a message naming the directory or file that could not be
+/// written.
+pub fn write_artifact(path: &Path, body: &str) -> Result<(), String> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;

@@ -46,8 +46,8 @@ pub struct Spec {
 /// One artifact a spec writes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArtifactSpec {
-    /// The experiment's tables as one JSON array (the `--json <path>`
-    /// convention of the experiment binaries).
+    /// The experiment's tables as one JSON array (what `harness exp NAME
+    /// --json <path>` writes).
     Tables { path: String },
     /// One named text from the experiment output (the Chrome trace, the
     /// metrics snapshot), written verbatim.

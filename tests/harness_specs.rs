@@ -238,18 +238,24 @@ fn experiments_md_matches_the_generated_catalogue() {
 }
 
 #[test]
-fn registry_names_match_the_smoke_binaries() {
-    // Every binary-backed entry must have a bin target on disk, so `harness
-    // list` and the Cargo bin set cannot drift apart.
-    let bins_dir = root().join("crates/sofa-bench/src/bin");
-    for e in registry::registry() {
-        if let Some(bin) = e.bin {
-            let path = bins_dir.join(format!("{bin}.rs"));
-            assert!(
-                path.is_file(),
-                "registry bin {bin} has no {}",
-                path.display()
-            );
+fn harness_is_the_only_binary() {
+    // Every experiment runs through `harness exp NAME`; a per-experiment
+    // binary or a bench target would be a second entry point to keep in
+    // sync with the registry.
+    let mut entry_points = Vec::new();
+    for krate in std::fs::read_dir(root().join("crates")).expect("crates/ is readable") {
+        let dir = krate.expect("crate entry").path();
+        for sub in ["src/bin", "src/main.rs", "benches"] {
+            let path = dir.join(sub);
+            if path.is_dir() {
+                for f in std::fs::read_dir(&path).expect("readable") {
+                    entry_points.push(f.expect("entry").path());
+                }
+            } else if path.exists() {
+                entry_points.push(path);
+            }
         }
     }
+    let want = root().join("crates/sofa-harness/src/bin/harness.rs");
+    assert_eq!(entry_points, vec![want]);
 }
