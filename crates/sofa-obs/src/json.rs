@@ -62,14 +62,24 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so the cap turns a hostile `[[[[…` into an `Err` instead of a
+/// stack overflow; the repo's specs, traces and snapshots nest about 5 deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses `text` as one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error, or of
+/// the first bracket nested more than 128 levels deep.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -82,6 +92,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -119,8 +131,7 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -128,6 +139,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    /// An array or object, one level deeper.
+    fn nested(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -299,6 +325,25 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_naming_the_offset() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let deepest = parse(&nest(MAX_DEPTH)).expect("depth 128 parses");
+        let mut v = &deepest;
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_arr().unwrap()[0];
+        }
+        assert_eq!(v, &Json::Arr(Vec::new()));
+        assert_eq!(
+            parse(&nest(MAX_DEPTH + 1)),
+            Err("nesting deeper than 128 at byte 128".to_string())
+        );
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        let err = parse(&"{\"a\":".repeat(200)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
     }
 
     #[test]

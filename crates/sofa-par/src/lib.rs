@@ -3,7 +3,7 @@
 //! The hot paths of this repository — batched pipeline runs, per-row
 //! prediction/top-k loops, experiment fan-out, request lowering — are
 //! embarrassingly parallel over *independent* work items. This crate gives
-//! them a rayon-flavoured API (`par_map`, `par_chunks`, `join`) built on
+//! them a rayon-flavoured API (`par_map`, `par_chunks`, `par_map_mut`) built on
 //! plain `std::thread::scope`, with two guarantees rayon does not make:
 //!
 //! 1. **Bit-identical results at any thread count.** Work is split into one
@@ -27,13 +27,10 @@
 //! single-item input) short-circuits to the plain sequential loop — no
 //! threads are spawned at all.
 //!
-//! Randomised parallel work uses [`par_map_rng`]: each *item* gets its own
-//! RNG stream derived from `(base_seed, item index)` via the `rand_chacha`
-//! shim, so the stream an item sees is independent of which worker runs it
-//! and of the thread count.
+//! Randomised parallel work seeds each *item*'s RNG with [`item_seed`] of
+//! `(base_seed, item index)`, so the stream an item sees is independent of
+//! which worker runs it and of the thread count.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -311,38 +308,9 @@ where
     })
 }
 
-/// Runs `a` and `b`, potentially in parallel, returning both results.
-/// `b` executes on the calling thread; `a` on a scoped worker (or inline
-/// when the effective thread count is 1 or the caller is already parallel).
-pub fn join<RA, RB, A, B>(a: A, b: B) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-{
-    if configured_threads() <= 1 || in_parallel_region() {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let ha = scope.spawn(move || {
-            let _guard = RegionGuard::enter();
-            a()
-        });
-        let rb = {
-            let _guard = RegionGuard::enter();
-            b()
-        };
-        match ha.join() {
-            Ok(ra) => (ra, rb),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
-/// Domain-separation constant folded into [`item_seed`]'s base seed, so a
-/// `par_map_rng` stream can never collide with a stream derived from the
-/// same `(base, index)` pair via `sofa_tensor::derive_seed`.
+/// Domain-separation constant folded into [`item_seed`]'s base seed, so an
+/// item stream can never collide with a stream derived from the same
+/// `(base, index)` pair via `sofa_tensor::derive_seed`.
 const ITEM_SEED_DOMAIN: u64 = 0x5047_5F50_4152_5F31; // "PG_PAR_1"
 
 /// Derives the RNG seed of item `index` under `base_seed` (SplitMix64-style
@@ -355,26 +323,9 @@ pub fn item_seed(base_seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Maps `f` over `items` where each item receives its own deterministic RNG
-/// stream seeded from `(base_seed, item index)` — the stream is a property
-/// of the *item*, not the worker, so results are bit-identical at any
-/// thread count.
-pub fn par_map_rng<T, U, F>(items: &[T], base_seed: u64, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T, &mut ChaCha8Rng) -> U + Sync,
-{
-    par_map_index(items.len(), |i| {
-        let mut rng = ChaCha8Rng::seed_from_u64(item_seed(base_seed, i as u64));
-        f(&items[i], &mut rng)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn chunk_bounds_cover_everything_contiguously() {
@@ -470,14 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        for threads in [1usize, 4] {
-            let (a, b) = with_threads(threads, || join(|| 2 + 2, || "b"));
-            assert_eq!((a, b), (4, "b"));
-        }
-    }
-
-    #[test]
     fn with_threads_restores_on_exit_and_unwind() {
         let before = configured_threads();
         with_threads(3, || assert_eq!(configured_threads(), 3));
@@ -503,24 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_rng_streams_are_per_item_not_per_worker() {
-        let items: Vec<u32> = (0..33).collect();
-        let draw = |threads: usize| {
-            with_threads(threads, || {
-                par_map_rng(&items, 99, |&x, rng| (x, rng.gen::<u64>()))
-            })
-        };
-        let one = draw(1);
-        for threads in [2usize, 7, 33] {
-            assert_eq!(draw(threads), one, "threads={threads}");
-        }
-        // Distinct items see distinct streams.
-        assert_ne!(one[0].1, one[1].1);
-        assert_eq!(item_seed(1, 2), item_seed(1, 2));
-        assert_ne!(item_seed(1, 2), item_seed(2, 2));
-    }
-
-    #[test]
     fn item_seed_is_domain_separated_from_tensor_derive_seed() {
         // sofa_tensor::derive_seed uses the same SplitMix64 mixing without
         // the domain constant; the two families must never hand the same
@@ -537,5 +462,8 @@ mod tests {
                 assert_ne!(item_seed(base, index), tensor_derive(base, index));
             }
         }
+        // Distinct items, and distinct base seeds, get distinct streams.
+        assert_ne!(item_seed(1, 2), item_seed(1, 3));
+        assert_ne!(item_seed(1, 2), item_seed(2, 2));
     }
 }

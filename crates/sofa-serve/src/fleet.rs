@@ -4,7 +4,7 @@
 //! [`ServeSim`](crate::ServeSim) schedules one node — `N` instances behind
 //! one shared DRAM channel. [`FleetServeSim`] scales that out: requests are
 //! routed across [`FleetConfig::nodes`] nodes (each a full
-//! [`sofa_sim::NodeSim`] with a private DRAM channel), reaching their node
+//! `MultiPipelineSim` with a private DRAM channel), reaching their node
 //! through an inter-node [`Fabric`] whose per-node ingress links add
 //! serialization and latency to every placement. Both simulators admit
 //! through the crate's one router: least-booked placement, aging,
@@ -14,7 +14,7 @@
 //! **prefill/decode disaggregation** (prefills pin to one node pool,
 //! decodes to the other, spilling over only when their pool has no
 //! capacity at all), the fabric transfer of every admission, and a bounded
-//! pick window ([`FleetConfig::admit_window`]).
+//! pick window ([`ADMIT_WINDOW`]).
 //!
 //! **Epoch-synchronized.** The router interacts with the simulation only at
 //! multiples of [`FleetConfig::epoch_cycles`]: each epoch, every node's
@@ -49,12 +49,17 @@ use sofa_sim::{Fabric, FabricParams, FabricReport, FleetSim, MultiReport};
 use std::ops::Range;
 use std::sync::Arc;
 
+/// How many waiting requests (oldest first) each fleet pick scans: bounds
+/// the per-admission cost on deep backlogs, while aging still protects the
+/// oldest request inside the window.
+pub const ADMIT_WINDOW: usize = 64;
+
 /// Configuration of a sharded serving fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Per-node serving parameters; [`ServeConfig::instances`] is the
     /// instance count *per node*. The admission knobs (budget, overbooking,
-    /// policy, aging, energy budgets, retry, decay) and the
+    /// energy budget, retry, decay) and the
     /// [`OpRouter::Feedback`] loop apply fleet-wide.
     pub serve: ServeConfig,
     /// Number of nodes, each with [`ServeConfig::instances`] instances and
@@ -67,56 +72,37 @@ pub struct FleetConfig {
     /// amortize cross-node synchronization (and parallel-stepping overhead)
     /// at the cost of coarser admission timing.
     pub epoch_cycles: u64,
-    /// How many waiting requests (oldest first) the smallest-first pick
-    /// scans per admission — bounds the per-admission cost on deep
-    /// backlogs; aging still protects the queue head.
-    pub admit_window: usize,
-    /// Split the fleet into a prefill node pool and a decode node pool
-    /// (each class spills to the other pool only when its own has no
-    /// capacity). Requires at least two nodes.
+    /// Split the fleet into a prefill node pool of half the nodes (rounded
+    /// up) and a decode node pool of the rest (each class spills to the
+    /// other pool only when its own has no capacity). Requires at least two
+    /// nodes.
     pub disaggregate: bool,
-    /// Fraction of nodes in the prefill pool when disaggregating (rounded,
-    /// clamped so both pools are non-empty).
-    pub prefill_node_fraction: f64,
 }
 
 impl FleetConfig {
     /// A fleet of `nodes` × `instances_per_node` instances of `hw` with the
     /// single-node serving defaults, the default fabric, a 64Ki-cycle
-    /// epoch, a 64-request admission window and no disaggregation.
+    /// epoch and no disaggregation.
     pub fn new(hw: sofa_hw::config::HwConfig, nodes: usize, instances_per_node: usize) -> Self {
         FleetConfig {
             serve: ServeConfig::new(hw, instances_per_node),
             nodes,
             fabric: FabricParams::default(),
             epoch_cycles: 1 << 16,
-            admit_window: 64,
             disaggregate: false,
-            prefill_node_fraction: 0.5,
         }
     }
 
-    /// Instances per node.
-    pub fn instances_per_node(&self) -> usize {
-        self.serve.instances
-    }
-
-    /// Total instances across the fleet.
-    pub fn total_instances(&self) -> usize {
-        self.nodes * self.serve.instances
-    }
-
-    /// Number of nodes in the prefill pool — 0 when not disaggregating,
-    /// and 0 for un-validatable configs (fewer than two nodes cannot be
-    /// split into two non-empty pools; [`FleetConfig::validate`] rejects
-    /// them, but this method must stay total for configs inspected before
-    /// validation, where `clamp(1, nodes - 1)` would panic or underflow).
+    /// Number of nodes in the prefill pool: half the fleet, rounded up, so
+    /// both pools are non-empty from two nodes on. 0 when not
+    /// disaggregating, and 0 for the fewer-than-two-node configs
+    /// [`FleetConfig::validate`] rejects (this method stays total for
+    /// configs inspected before validation).
     pub fn prefill_nodes(&self) -> usize {
         if !self.disaggregate || self.nodes < 2 {
             return 0;
         }
-        let p = (self.nodes as f64 * self.prefill_node_fraction).round() as usize;
-        p.clamp(1, self.nodes - 1)
+        self.nodes.div_ceil(2)
     }
 
     /// Validates the configuration.
@@ -135,16 +121,8 @@ impl FleetConfig {
         if self.epoch_cycles == 0 {
             return Err("epoch_cycles must be positive".into());
         }
-        if self.admit_window == 0 {
-            return Err("admit_window must be positive".into());
-        }
-        if self.disaggregate {
-            if self.nodes < 2 {
-                return Err("disaggregation needs at least two nodes".into());
-            }
-            if !(self.prefill_node_fraction > 0.0 && self.prefill_node_fraction < 1.0) {
-                return Err("prefill_node_fraction must be in (0, 1)".into());
-            }
+        if self.disaggregate && self.nodes < 2 {
+            return Err("disaggregation needs at least two nodes".into());
         }
         Ok(())
     }
@@ -500,7 +478,7 @@ impl FleetServeSim {
             }
             router.try_admit(
                 boundary,
-                self.cfg.admit_window,
+                ADMIT_WINDOW,
                 |class| self.pool(class),
                 |a| {
                     let (node, inst) = (a.slot / ipn, a.slot % ipn);
@@ -542,12 +520,6 @@ impl FleetServeSim {
         obs.absorb(fleet.take_trace());
 
         let sim_report = fleet.report();
-        let total_cycles = sim_report
-            .nodes
-            .iter()
-            .map(|n| n.total_cycles)
-            .max()
-            .unwrap_or(0);
         let peak_inflight_bytes = router
             .peak_bytes()
             .chunks(ipn)
@@ -563,7 +535,7 @@ impl FleetServeSim {
             decodes,
             latency,
             queueing,
-            total_cycles,
+            total_cycles: sim_report.total_cycles(),
             nodes: sim_report.nodes,
             fabric: fabric.report(),
             energy_pj,
@@ -711,10 +683,13 @@ mod tests {
             assert!(cfg.validate().is_err(), "{nodes} nodes must not validate");
             assert_eq!(cfg.prefill_nodes(), 0);
         }
-        // Valid configs still split into two non-empty pools.
-        let mut cfg = small_cfg(4, 1);
-        cfg.disaggregate = true;
-        assert_eq!(cfg.prefill_nodes(), 2);
+        // Valid configs still split into two non-empty pools, the prefill
+        // pool taking the odd node.
+        for (nodes, prefill) in [(2, 1), (3, 2), (4, 2), (5, 3), (8, 4)] {
+            let mut cfg = small_cfg(nodes, 1);
+            cfg.disaggregate = true;
+            assert_eq!(cfg.prefill_nodes(), prefill, "{nodes} nodes");
+        }
     }
 
     #[test]
@@ -746,20 +721,6 @@ mod tests {
         // Determinism with the retry path active.
         let again = sim.run(&trace, OpRouter::TraceNative);
         assert_eq!(adaptive, again);
-    }
-
-    #[test]
-    fn instance_energy_budget_spreads_load() {
-        let trace = small_trace(24, 300.0);
-        let mut cfg = small_cfg(2, 1);
-        // Roomy enough that everything is eventually served, tight enough
-        // that placement must account energy headroom.
-        cfg.serve.instance_energy_budget_pj = Some(5.0e7);
-        let sim = FleetServeSim::new(cfg.clone());
-        let report = sim.run(&trace, OpRouter::TraceNative);
-        assert_eq!(report.served, 24, "budgeted placement must still serve all");
-        assert!(report.requests_per_node.iter().all(|&r| r > 0));
-        assert_eq!(report, sim.run(&trace, OpRouter::TraceNative));
     }
 
     #[test]

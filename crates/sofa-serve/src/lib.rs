@@ -22,13 +22,14 @@
 //!   per-request Pareto routing (`sofa_dse::DseReport`), for side-by-side
 //!   latency/energy comparison.
 //! * [`fleet`] — [`FleetServeSim`]: sharded serving across many nodes
-//!   (each a private-DRAM `sofa_sim::NodeSim`) joined by an inter-node
+//!   (each a private-DRAM `sofa_sim::MultiPipelineSim`) joined by an inter-node
 //!   fabric; epoch-synchronized least-booked placement with optional
 //!   prefill/decode disaggregation, reporting streaming-sketch percentiles
 //!   ([`FleetReport`]) so million-request traces stay cheap.
 //!
 //! Both simulators admit through one crate-private router (`router.rs`):
-//! lowering, pick, place, the energy budgets, retry, decay and feedback
+//! lowering, pick (the oldest once aged, else the smallest footprint),
+//! place (least-booked bytes), the energy budget, retry, decay and feedback
 //! exist once, and the simulators only step time and build reports.
 //!
 //! # Example
@@ -58,4 +59,4 @@ pub mod scheduler;
 pub use fleet::{FleetConfig, FleetReport, FleetServeSim};
 pub use report::{RequestRecord, ServeReport, ShedRecord};
 pub use routing::{AdaptiveServeConfig, AdaptiveServeStudy, DseServeComparison, RoutedServeStudy};
-pub use scheduler::{AdmitPolicy, FeedbackConfig, OpRouter, RetryPolicy, ServeConfig, ServeSim};
+pub use scheduler::{FeedbackConfig, OpRouter, RetryPolicy, ServeConfig, ServeSim};

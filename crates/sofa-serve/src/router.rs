@@ -22,16 +22,14 @@
 //! * **The wait queue**, in effective-arrival order, and the **retry heap**
 //!   of shed requests awaiting their client backoff. Original arrivals run
 //!   before retry re-arrivals on equal cycles.
-//! * **Pick.** The oldest waiting request once it has waited past
-//!   [`ServeConfig::aging_threshold`], else the policy's pick — arrival order
-//!   or smallest footprint first — over the first `window` waiters.
-//! * **Place.** Per-slot booking of bytes, requests and energy, where slot
-//!   = `node × instances_per_node + instance`. A request lands on the
+//! * **Pick.** Over the first `window` waiters, the oldest request once it
+//!   has waited past [`AGING_THRESHOLD_CYCLES`], else the smallest
+//!   footprint.
+//! * **Place.** Per-slot booking of bytes and requests, where slot =
+//!   `node × instances_per_node + instance`. A request lands on the
 //!   least-booked slot of its class's node pool that fits the (overbooked)
 //!   byte budget or is idle, spilling over to the whole fleet when its pool
-//!   is narrower and full. With a per-instance energy budget, slots without
-//!   energy headroom are skipped and byte ties break toward the most
-//!   headroom. Ties finally break on the slot index.
+//!   is narrower and full. Ties break on the slot index.
 //! * **The adaptive controller.** Decay re-lowers over-waited requests to
 //!   the front's lean end, [`OpRouter::Feedback`] re-lowers the picked
 //!   request when the measured pressure level moved, and retry re-lowers a
@@ -43,7 +41,9 @@
 //! cache statistics) are bit-identical at any `SOFA_THREADS`.
 
 use crate::report::ShedRecord;
-use crate::scheduler::{AdmitPolicy, FeedbackConfig, OpRouter, RetryPolicy, ServeConfig};
+use crate::scheduler::{
+    FeedbackConfig, OpRouter, RetryPolicy, ServeConfig, AGING_THRESHOLD_CYCLES,
+};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::ops::Range;
@@ -168,11 +168,10 @@ pub(crate) struct Router<'a> {
     waiting: VecDeque<usize>,
     /// Shed requests awaiting their client backoff: (re-arrival, index).
     retryq: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Per-slot booked bytes, booked requests and booked energy
-    /// (admitted but not completed), and the peak booked bytes.
+    /// Per-slot booked bytes and booked requests (admitted but not
+    /// completed), and the peak booked bytes.
     booked_bytes: Vec<u64>,
     booked_reqs: Vec<usize>,
-    booked_energy: Vec<f64>,
     peak_bytes: Vec<u64>,
     /// Retry re-arrivals admitted back into the wait queue.
     retried: u64,
@@ -266,7 +265,6 @@ impl<'a> Router<'a> {
             retryq: BinaryHeap::new(),
             booked_bytes: vec![0; slots],
             booked_reqs: vec![0; slots],
-            booked_energy: vec![0.0; slots],
             peak_bytes: vec![0; slots],
             retried: 0,
             events: trace_events.then(Vec::new),
@@ -447,7 +445,6 @@ impl<'a> Router<'a> {
         let lowering = &self.shapes[r.shape];
         self.booked_bytes[slot] -= lowering.footprint;
         self.booked_reqs[slot] -= 1;
-        self.booked_energy[slot] -= lowering.energy_pj;
         if let OpRouter::Feedback(_, fb) = self.route {
             let (latency, energy) = ((now - r.arrival) as f64, lowering.energy_pj);
             self.observe_completion(fb, slot, latency, energy);
@@ -572,49 +569,35 @@ impl<'a> Router<'a> {
         self.record(req, now, AdaptiveKind::Feedback(level));
     }
 
-    /// Position in the wait queue of the next request to try: the oldest
-    /// starved request if any has waited past the aging threshold, else the
-    /// policy's pick. Both scan the first `window` waiters; the oldest is
-    /// found from their arrivals, not assumed to be the head, so no requeue
-    /// path can starve an aged request by perturbing the queue order.
+    /// Position in the wait queue of the next request to try, among the
+    /// first `window` waiters: the oldest if it has waited past
+    /// [`AGING_THRESHOLD_CYCLES`], else the smallest footprint. The oldest
+    /// is found from the arrivals, not assumed to be the head, so no
+    /// requeue path can starve an aged request by perturbing the queue
+    /// order.
     pub(crate) fn pick(&self, now: u64, window: usize) -> usize {
         let window = self.waiting.len().min(window);
         let oldest = (0..window)
             .min_by_key(|&p| (self.reqs[self.waiting[p]].arrival, self.waiting[p]))
             .expect("waiting is non-empty");
         let oldest_wait = now.saturating_sub(self.reqs[self.waiting[oldest]].arrival);
-        if oldest_wait >= self.cfg.aging_threshold {
+        if oldest_wait >= AGING_THRESHOLD_CYCLES {
             return oldest;
         }
-        match self.cfg.policy {
-            AdmitPolicy::Fifo => oldest,
-            AdmitPolicy::SmallestFirst => (0..window)
-                .min_by_key(|&p| (self.lowering(self.waiting[p]).footprint, self.waiting[p]))
-                .expect("waiting is non-empty"),
-        }
+        (0..window)
+            .min_by_key(|&p| (self.lowering(self.waiting[p]).footprint, self.waiting[p]))
+            .expect("waiting is non-empty")
     }
 
     /// The slot of `nodes` the next request lands on: among slots that fit
     /// `fp` more bytes (or are idle, so one oversized request always makes
-    /// progress), the least-booked one. With a per-instance energy budget,
-    /// slots without headroom for `energy_pj` are skipped too and
-    /// booked-bytes ties break toward the most energy headroom.
-    fn place(&self, nodes: Range<usize>, fp: u64, energy_pj: f64) -> Option<usize> {
+    /// progress), the least-booked one.
+    fn place(&self, nodes: Range<usize>, fp: u64) -> Option<usize> {
         let ipn = self.cfg.instances;
-        let slots = nodes.start * ipn..nodes.end * ipn;
-        let (bytes, reqs, energy) = (&self.booked_bytes, &self.booked_reqs, &self.booked_energy);
-        let fits = |s: &usize| reqs[*s] == 0 || bytes[*s] + fp <= self.budget;
-        match self.cfg.instance_energy_budget_pj {
-            None => slots.filter(fits).min_by_key(|&s| (bytes[s], s)),
-            Some(eb) => slots
-                .filter(|s| fits(s) && (reqs[*s] == 0 || energy[*s] + energy_pj <= eb))
-                .min_by(|&a, &b| {
-                    bytes[a]
-                        .cmp(&bytes[b])
-                        .then_with(|| energy[a].total_cmp(&energy[b]))
-                        .then_with(|| a.cmp(&b))
-                }),
-        }
+        let (bytes, reqs) = (&self.booked_bytes, &self.booked_reqs);
+        (nodes.start * ipn..nodes.end * ipn)
+            .filter(|&s| reqs[s] == 0 || bytes[s] + fp <= self.budget)
+            .min_by_key(|&s| (bytes[s], s))
     }
 
     /// Admits as many waiting requests as fit at cycle `now`. Decay
@@ -635,11 +618,11 @@ impl<'a> Router<'a> {
             let pos = self.pick(now, window);
             let req = self.waiting[pos];
             self.feedback_relower(now, req);
-            let (fp, energy_pj) = (self.lowering(req).footprint, self.lowering(req).energy_pj);
+            let fp = self.lowering(req).footprint;
             let pool = pool(self.specs[req].class);
-            let target = self.place(pool.clone(), fp, energy_pj).or_else(|| {
+            let target = self.place(pool.clone(), fp).or_else(|| {
                 (pool != (0..self.nodes))
-                    .then(|| self.place(0..self.nodes, fp, energy_pj))
+                    .then(|| self.place(0..self.nodes, fp))
                     .flatten()
             });
             let Some(slot) = target else {
@@ -652,7 +635,6 @@ impl<'a> Router<'a> {
             self.waiting.remove(pos);
             self.booked_bytes[slot] += fp;
             self.booked_reqs[slot] += 1;
-            self.booked_energy[slot] += energy_pj;
             self.peak_bytes[slot] = self.peak_bytes[slot].max(self.booked_bytes[slot]);
             submit(Admission {
                 req,

@@ -24,7 +24,7 @@
 //!   [`ServeConfig::overbook`] relaxes the budget further — the
 //!   buffer-overbooking idea Tailors applies to sparse workloads. Requests
 //!   are picked smallest-footprint-first unless one has waited past
-//!   [`ServeConfig::aging_threshold`].
+//!   [`AGING_THRESHOLD_CYCLES`].
 //! * **Energy budget** ([`ServeConfig::energy_budget_pj_per_req`]). A
 //!   request projected over it re-routes to the front's energy-leanest
 //!   point and is **shed** ([`ServeReport::shed`]) if still over.
@@ -36,10 +36,7 @@
 //!   latency, queue depth and energy to a pressure level that shifts the
 //!   routing bar ([`sofa_dse::ParetoFront::route_pressure`]); **retry**
 //!   ([`ServeConfig::retry`]) re-submits a shed request after a client
-//!   backoff at a leaner keep ([`ServeReport::retried`]); and
-//!   **per-instance energy budgets**
-//!   ([`ServeConfig::instance_energy_budget_pj`]) make placement weigh
-//!   in-flight energy headroom as well as booked bytes.
+//!   backoff at a leaner keep ([`ServeReport::retried`]).
 
 use crate::report::{RequestRecord, ServeReport, ShedRecord};
 use crate::router::{AdaptiveKind, Ingest, Router};
@@ -70,15 +67,9 @@ fn class_name(class: RequestClass) -> &'static str {
     }
 }
 
-/// How the scheduler picks the next waiting request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitPolicy {
-    /// Strict arrival order.
-    Fifo,
-    /// Smallest buffer footprint first (best packing under the budget);
-    /// priority aging still bounds the wait of large requests.
-    SmallestFirst,
-}
+/// Waiting cycles past which the oldest request is admitted next instead of
+/// the smallest footprint: the starvation bound of smallest-first pick.
+pub const AGING_THRESHOLD_CYCLES: u64 = 100_000;
 
 /// Deterministic client retry model for shed requests
 /// ([`ServeConfig::retry`]).
@@ -254,11 +245,6 @@ pub struct ServeConfig {
     /// Account the measured sparse footprint (`true`, Tailors-style) or the
     /// worst-case dense footprint (`false`, classic sizing) per request.
     pub predicted_footprint: bool,
-    /// Waiting cycles beyond which a request overrides the admission policy
-    /// (starvation bound for `SmallestFirst`).
-    pub aging_threshold: u64,
-    /// Pick order among waiting requests.
-    pub policy: AdmitPolicy,
     /// Per-request energy ceiling in picojoules (the per-instance J/req
     /// budget from the DSE energy model). `None` disables the energy path;
     /// with a budget, over-budget requests are re-routed to the router's
@@ -273,13 +259,6 @@ pub struct ServeConfig {
     /// Client retry model for shed requests. `None` (the default) sheds
     /// immediately, exactly as before the adaptive controller existed.
     pub retry: Option<RetryPolicy>,
-    /// Per-instance in-flight energy ceiling in picojoules. When set,
-    /// placement skips instances whose booked (admitted-but-uncompleted)
-    /// energy would exceed it — unless the instance is idle, so oversized
-    /// requests still make progress — and breaks booked-bytes ties toward
-    /// the most energy headroom. `None` (the default) keeps pure
-    /// least-booked placement.
-    pub instance_energy_budget_pj: Option<f64>,
     /// Memoise lowerings on `(request shape, operating point)` keys
     /// (default `true`). Lowering is a pure function of that key, so the
     /// cache changes wall time only — reports and trace bytes are
@@ -289,10 +268,10 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A serving setup of `instances` copies of `hw` with the defaults:
-    /// smallest-first admission on measured footprints, no overbooking,
-    /// aging after 100k cycles, DRAM priority aging after 4 burst latencies,
-    /// calibrated DRAM command occupancy, a single-layer deployment point at
-    /// the trace-default keep and `Bc = 32`, and no energy budget.
+    /// admission on measured footprints, no overbooking, DRAM priority
+    /// aging after 4 burst latencies, calibrated DRAM command occupancy, a
+    /// single-layer deployment point at the trace-default keep and
+    /// `Bc = 32`, and no energy budget.
     pub fn new(hw: HwConfig, instances: usize) -> Self {
         let mut sim = SimParams::default();
         sim.dram_age_threshold = 4 * sim.burst_latency;
@@ -305,12 +284,9 @@ impl ServeConfig {
             admit_buffer_bytes: hw.token_sram_bytes as u64,
             overbook: 1.0,
             predicted_footprint: true,
-            aging_threshold: 100_000,
-            policy: AdmitPolicy::SmallestFirst,
             energy_budget_pj_per_req: None,
             decay_threshold: None,
             retry: None,
-            instance_energy_budget_pj: None,
             lowering_cache: true,
         }
     }
@@ -338,11 +314,6 @@ impl ServeConfig {
         if let Some(b) = self.energy_budget_pj_per_req {
             if b <= 0.0 || b.is_nan() {
                 return Err("energy budget must be positive".into());
-            }
-        }
-        if let Some(b) = self.instance_energy_budget_pj {
-            if b <= 0.0 || b.is_nan() {
-                return Err("instance energy budget must be positive".into());
             }
         }
         if let Some(retry) = &self.retry {
@@ -837,27 +808,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn aging_bounds_the_wait_of_large_requests() {
-        // Under SmallestFirst a steady stream of small decodes could starve
-        // a large prefill; the aging threshold must bound its wait relative
-        // to the same schedule without aging.
-        let trace = small_trace(48, 300.0, 13);
-        let mut aged_cfg = small_cfg(1);
-        aged_cfg.aging_threshold = 20_000;
-        let mut starved_cfg = small_cfg(1);
-        starved_cfg.aging_threshold = u64::MAX;
-        let aged = ServeSim::new(aged_cfg).run(&trace);
-        let starved = ServeSim::new(starved_cfg).run(&trace);
-        let worst = |r: &ServeReport| r.records.iter().map(|x| x.queueing_delay()).max().unwrap();
-        assert!(
-            worst(&aged) <= worst(&starved),
-            "aging must not worsen the worst queueing delay: {} vs {}",
-            worst(&aged),
-            worst(&starved)
-        );
-    }
-
-    #[test]
     fn two_instances_beat_one_under_load() {
         let trace = small_trace(32, 300.0, 7);
         let one = ServeSim::new(small_cfg(1)).run(&trace);
@@ -1039,14 +989,10 @@ pub(crate) mod tests {
         ParetoFront::new(&[keep_parity, heavy_fast, lossy_lean], &reference)
     }
 
-    #[test]
-    fn aging_scans_for_the_true_oldest_not_just_the_head() {
-        // Regression: `pick` used to age only the queue head, so a requeue
-        // (retry re-arrival, adaptive re-route) that left a fresh request at
-        // the head let SmallestFirst starve the true oldest forever.
-        let mut cfg = small_cfg(1);
-        cfg.aging_threshold = 100_000;
-        let spec = |id: u64, arrival: u64, class: RequestClass, queries: usize| RequestSpec {
+    /// A 64-key request of `queries` queries: one query is a small decode,
+    /// 16 a prefill large enough to lose every footprint comparison.
+    fn spec(id: u64, arrival: u64, class: RequestClass, queries: usize) -> RequestSpec {
+        RequestSpec {
             id,
             arrival_cycle: arrival,
             class,
@@ -1055,10 +1001,17 @@ pub(crate) mod tests {
             hidden: 64,
             heads: 2,
             keep_ratio: 0.25,
-        };
-        // Head of the waiting list: a fresh, small decode SmallestFirst
-        // loves. Behind it: the true oldest, a prefill large enough to lose
-        // every footprint comparison.
+        }
+    }
+
+    #[test]
+    fn aging_scans_for_the_true_oldest_not_just_the_head() {
+        // Regression: `pick` used to age only the queue head, so a requeue
+        // (retry re-arrival, adaptive re-route) that left a fresh request at
+        // the head let smallest-first pick starve the true oldest forever.
+        let cfg = small_cfg(1);
+        // Head of the waiting list: a fresh, small decode smallest-first
+        // loves. Behind it: the true oldest, a large prefill.
         let starved = [
             spec(0, 500_000, RequestClass::Decode, 1),
             spec(1, 0, RequestClass::Prefill, 16),
@@ -1071,7 +1024,7 @@ pub(crate) mod tests {
             1,
             "the starved request must be aged even when it is not the head"
         );
-        // Below the threshold the policy pick still wins.
+        // Below the threshold the smallest footprint still wins.
         let fresh = [
             spec(0, 40_000, RequestClass::Decode, 1),
             spec(1, 0, RequestClass::Prefill, 16),
@@ -1079,6 +1032,36 @@ pub(crate) mod tests {
         let mut router = Router::new(&cfg, OpRouter::TraceNative, &fresh, 1, false);
         router.set_waiting(&[0, 1]);
         assert_eq!(router.pick(50_000, usize::MAX), 0);
+    }
+
+    #[test]
+    fn pick_sees_only_the_window() {
+        // Four large prefills, then a small decode at the fifth position.
+        let cfg = small_cfg(1);
+        let queue = |oldest: u64| {
+            let mut specs: Vec<RequestSpec> = (0..4)
+                .map(|i| spec(i, 200_000 + 1_000 * i, RequestClass::Prefill, 16))
+                .collect();
+            specs[2].arrival_cycle = oldest;
+            specs.push(spec(4, 210_000, RequestClass::Decode, 1));
+            specs
+        };
+        let now = 250_000;
+        let fresh = queue(202_000);
+        let mut router = Router::new(&cfg, OpRouter::TraceNative, &fresh, 1, false);
+        assert!(router.lowering(4).footprint < router.lowering(0).footprint);
+        router.set_waiting(&[0, 1, 2, 3, 4]);
+        assert_eq!(
+            router.pick(now, 4),
+            0,
+            "a window of 4 cannot see the smaller request at position 5"
+        );
+        assert_eq!(router.pick(now, 5), 4, "a window of 5 picks it");
+        // An aged request inside the window beats the smaller footprint.
+        let aged = queue(now - AGING_THRESHOLD_CYCLES);
+        let mut router = Router::new(&cfg, OpRouter::TraceNative, &aged, 1, false);
+        router.set_waiting(&[0, 1, 2, 3, 4]);
+        assert_eq!(router.pick(now, 5), 2);
     }
 
     #[test]
@@ -1188,25 +1171,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn instance_energy_budget_steers_placement_without_shedding() {
-        let trace = small_trace(24, 150.0, 19);
-        let mut cfg = small_cfg(2);
-        cfg.instance_energy_budget_pj = Some(5.0e7);
-        let sim = ServeSim::new(cfg);
-        let report = sim.run(&trace);
-        assert_eq!(
-            report.records.len(),
-            trace.len(),
-            "an instance budget delays admission, it never sheds"
-        );
-        assert!(
-            report.requests_on(0) > 0 && report.requests_on(1) > 0,
-            "energy headroom must spread load across both instances"
-        );
-        assert_eq!(report, sim.run(&trace));
-    }
-
-    #[test]
     #[should_panic(expected = "invalid serve config")]
     fn zero_retry_keep_factor_is_rejected() {
         let mut cfg = small_cfg(1);
@@ -1214,14 +1178,6 @@ pub(crate) mod tests {
             keep_factor: 0.0,
             ..RetryPolicy::default()
         });
-        let _ = ServeSim::new(cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid serve config")]
-    fn non_positive_instance_energy_budget_is_rejected() {
-        let mut cfg = small_cfg(1);
-        cfg.instance_energy_budget_pj = Some(0.0);
         let _ = ServeSim::new(cfg);
     }
 

@@ -134,11 +134,6 @@ impl Fabric {
         end + self.params.latency_cycles
     }
 
-    /// Cycle `node`'s ingress link becomes free.
-    pub fn link_free_at(&self, node: usize) -> u64 {
-        self.link_free[node]
-    }
-
     /// Snapshot of the per-link accounting.
     pub fn report(&self) -> FabricReport {
         FabricReport {
@@ -158,7 +153,7 @@ struct Pending {
 
 /// One fleet node: a [`MultiPipelineSim`] plus its in-flight deliveries.
 #[derive(Debug)]
-pub struct NodeSim {
+pub(crate) struct NodeSim {
     sim: MultiPipelineSim,
     /// Deliveries not yet applied, in non-decreasing `deliver_at` order
     /// (the per-node fabric link serializes, so the router's decision order
@@ -185,7 +180,7 @@ impl NodeSim {
     /// # Panics
     ///
     /// Panics if `deliver_at` precedes an already-queued delivery.
-    pub fn submit_at(&mut self, inst: usize, request: u64, job: Arc<PipelineJob>, deliver_at: u64) {
+    fn submit_at(&mut self, inst: usize, request: u64, job: Arc<PipelineJob>, deliver_at: u64) {
         if let Some(back) = self.pending.back() {
             assert!(
                 deliver_at >= back.deliver_at,
@@ -202,7 +197,7 @@ impl NodeSim {
 
     /// Earliest future activity: the next simulation event or pending
     /// delivery.
-    pub fn next_activity(&self) -> Option<u64> {
+    fn next_activity(&self) -> Option<u64> {
         let ev = self.sim.next_event_time();
         let sub = self.pending.front().map(|p| p.deliver_at);
         match (ev, sub) {
@@ -219,7 +214,7 @@ impl NodeSim {
     ///
     /// The returned slice borrows the node's reusable scratch buffer; it is
     /// valid until the next `run_until` call.
-    pub fn run_until(&mut self, until: u64) -> &[(u64, Completion)] {
+    fn run_until(&mut self, until: u64) -> &[(u64, Completion)] {
         self.done.clear();
         loop {
             let ev = self.sim.next_event_time().filter(|&e| e < until);
@@ -245,11 +240,6 @@ impl NodeSim {
             }
         }
         &self.done
-    }
-
-    /// The node's underlying multi-instance simulation.
-    pub fn sim(&self) -> &MultiPipelineSim {
-        &self.sim
     }
 }
 
@@ -285,7 +275,6 @@ impl FleetSimReport {
 #[derive(Debug)]
 pub struct FleetSim {
     nodes: Vec<NodeSim>,
-    instances_per_node: usize,
     traced: bool,
     /// Merged completion scratch refilled by [`FleetSim::run_until`] —
     /// reused across epochs like the per-node buffers it gathers.
@@ -305,25 +294,9 @@ impl FleetSim {
             nodes: (0..nodes)
                 .map(|_| NodeSim::new(cfg, instances_per_node, params))
                 .collect(),
-            instances_per_node,
             traced: false,
             completions: Vec::new(),
         }
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Instances per node.
-    pub fn instances_per_node(&self) -> usize {
-        self.instances_per_node
-    }
-
-    /// The node at index `node`.
-    pub fn node(&self, node: usize) -> &NodeSim {
-        &self.nodes[node]
     }
 
     /// Queues `job` for `inst` of `node`, entering its tile streams at

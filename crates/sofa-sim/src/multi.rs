@@ -340,17 +340,6 @@ impl MultiPipelineSim {
         );
     }
 
-    /// Number of pipeline instances.
-    pub fn num_instances(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Tiles instance `inst` has accepted but not yet pushed through the
-    /// formal stage — the scheduler's backlog signal.
-    pub fn pending_tiles(&self, inst: usize) -> usize {
-        self.instances[inst].stream_len() - self.instances[inst].next_tile[STAGES - 1]
-    }
-
     /// Appends `job`'s tiles to instance `inst`'s stream at time `now` on
     /// behalf of request `request`. Tiles of earlier submissions still in
     /// flight keep the pipeline full; the new tiles enter right behind them.

@@ -212,8 +212,8 @@ fn serve_router_exact_json_is_byte_stable() {
     use sofa_model::OperatingPoint;
     use sofa_obs::{MetricsRegistry, TraceRecorder};
     use sofa_serve::{
-        AdmitPolicy, FeedbackConfig, FleetConfig, FleetReport, FleetServeSim, OpRouter,
-        RetryPolicy, ServeConfig, ServeSim,
+        FeedbackConfig, FleetConfig, FleetReport, FleetServeSim, OpRouter, RetryPolicy,
+        ServeConfig, ServeSim,
     };
 
     // Three front points with distinct routed / cycle-leanest /
@@ -251,7 +251,7 @@ fn serve_router_exact_json_is_byte_stable() {
     // (name, edit) pairs shared by both grids; `budget` is the per-request
     // energy ceiling of the grid's trace shape.
     type Variant = (&'static str, fn(&mut ServeConfig, f64));
-    let variants: [Variant; 8] = [
+    let variants: [Variant; 5] = [
         ("base", |_, _| {}),
         ("energy", |c, b| c.energy_budget_pj_per_req = Some(b)),
         ("retry", |c, b| {
@@ -271,11 +271,6 @@ fn serve_router_exact_json_is_byte_stable() {
                 keep_factor: 0.95,
             });
         }),
-        ("instance_energy", |c, _| {
-            c.instance_energy_budget_pj = Some(5.0e7)
-        }),
-        ("fifo", |c, _| c.policy = AdmitPolicy::Fifo),
-        ("aging0", |c, _| c.aging_threshold = 0),
         ("nocache", |c, _| c.lowering_cache = false),
     ];
     let mut lines = Vec::new();
@@ -340,26 +335,13 @@ fn serve_router_exact_json_is_byte_stable() {
         )
     };
     let fleet_trace = trace(48, 300.0, 42, 256, 8);
-    let fleet_variants = variants
-        .iter()
-        .copied()
-        .map(|(n, e)| (n, Some(e), None))
-        .chain([
-            ("window4", None, Some(4)),
-            ("retry_window4", Some(variants[2].1), Some(4)),
-        ]);
-    for (variant, edit, window) in fleet_variants {
+    for (variant, edit) in variants {
         for (nodes, ipn, disaggregate) in [(1, 1, false), (2, 2, false), (3, 2, true)] {
             for (router_name, router) in &routers[..2] {
                 let mut cfg = FleetConfig::new(HwConfig::small(), nodes, ipn);
                 cfg.epoch_cycles = 4096;
                 cfg.disaggregate = disaggregate;
-                if let Some(edit) = edit {
-                    edit(&mut cfg.serve, 1.0e7);
-                }
-                if let Some(window) = window {
-                    cfg.admit_window = window;
-                }
+                edit(&mut cfg.serve, 1.0e7);
                 let retrying = cfg.serve.retry.is_some();
                 let sim = FleetServeSim::new(cfg);
                 let (report, cache) = sim.run_with_cache_stats(&fleet_trace, *router);

@@ -86,6 +86,21 @@ fn fleet_dram_traffic_is_conserved_across_nodes() {
     assert_eq!(report.fabric.total_transfers(), trace.len() as u64);
 }
 
+/// Fabric conservation: every served request crosses the fabric exactly
+/// once, carrying exactly the footprint the single-node scheduler books for
+/// it under the same serving configuration.
+#[test]
+fn fabric_moves_each_served_footprint_exactly_once() {
+    let trace = trace(32, 150.0, 23);
+    let cfg = fleet_config(2, 2);
+    let single = ServeSim::new(cfg.serve.clone()).run(&trace);
+    let fleet = FleetServeSim::new(cfg).run(&trace, OpRouter::TraceNative);
+    assert_eq!(fleet.served as usize, trace.len());
+    let booked: u64 = single.records.iter().map(|r| r.footprint_bytes).sum();
+    assert_eq!(fleet.fabric.total_bytes(), booked);
+    assert_eq!(fleet.fabric.total_transfers(), fleet.served);
+}
+
 /// Adding nodes to an overloaded fleet strictly improves tail latency and
 /// never loses requests.
 #[test]

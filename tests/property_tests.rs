@@ -21,6 +21,18 @@ fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |v| Matrix::from_vec(rows, cols, v).expect("length matches"))
 }
 
+/// Strings over JSON's token alphabet: structure, string quoting and
+/// escapes, number characters, the letters of the literals, whitespace and
+/// one multibyte character.
+fn json_token_soup(max_len: usize) -> impl Strategy<Value = String> {
+    const TOKENS: &[&str] = &[
+        "{", "}", "[", "]", ",", ":", "\"", "\\", "0", "1", "2", "3", "4", "5", "6", "7", "8", "9",
+        "-", ".", "e", "E", "t", "r", "u", "f", "a", "l", "s", "n", " ", "\n", "\t", "\r", "é",
+    ];
+    prop::collection::vec(0usize..TOKENS.len(), 0..max_len)
+        .prop_map(|picks| picks.into_iter().map(|i| TOKENS[i]).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -285,8 +297,7 @@ proptest! {
     fn serving_conserves_requests_under_budgets_and_retry(
         seed in 0u64..1_000,
         budget in 4.0e6f64..1.5e7,
-        instance_budget in 1.0e7f64..6.0e7,
-        knobs in 0usize..8,
+        knobs in 0usize..4,
         nodes in 1usize..4,
     ) {
         use sofa_hw::config::HwConfig;
@@ -294,10 +305,10 @@ proptest! {
         use sofa_serve::{FleetConfig, FleetServeSim, OpRouter, RetryPolicy, ServeSim};
 
         // Every arrival ends as exactly one served or shed request, per
-        // class, whichever of the energy budget, client retry and the
-        // per-instance energy budget is on. The router's end-of-run
-        // booking check (a debug assertion: every slot's booked bytes and
-        // requests back to zero) runs on both paths in this test build.
+        // class, whichever of the energy budget and client retry is on.
+        // The router's end-of-run booking check (a debug assertion: every
+        // slot's booked bytes and requests back to zero) runs on both paths
+        // in this test build.
         let mut tc = TraceConfig::new(16, 300.0, seed);
         tc.seq_len = 256;
         tc.hidden = 256;
@@ -315,9 +326,6 @@ proptest! {
                 max_retries: 2,
                 keep_factor: 0.5,
             });
-        }
-        if knobs & 4 != 0 {
-            cfg.serve.instance_energy_budget_pj = Some(instance_budget);
         }
         let arrived = |class: RequestClass| {
             trace.requests.iter().filter(|r| r.class == class).count()
@@ -339,6 +347,17 @@ proptest! {
         prop_assert!(fleet.prefills as usize <= arrived(RequestClass::Prefill));
         prop_assert!(fleet.decodes as usize <= arrived(RequestClass::Decode));
         prop_assert_eq!(fleet.served + fleet.shed, trace.len() as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Malformed spec or trace text is an `Err`, never a panic.
+    #[test]
+    fn json_and_spec_parsers_never_panic(text in json_token_soup(96)) {
+        let _ = sofa_obs::json::parse(&text);
+        let _ = sofa_harness::spec::parse_spec(&text);
     }
 }
 
