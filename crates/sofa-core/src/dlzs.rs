@@ -18,8 +18,23 @@
 //! Two baselines are provided for the ablation experiments: a 4-bit
 //! multiplication predictor (what prior accelerators do) and the vanilla
 //! leading-one scheme that converts *both* operands.
+//!
+//! **Host emulation.** The modelled hardware shifts each full-precision
+//! operand by the other's exponent, lane by lane, and its zero-eliminator
+//! drops lanes with a zero operand. The host computes the identical integer
+//! differently: each code is decoded once per call into its signed power of
+//! two ([`LzCode::value`]), and a plain multiply-add over contiguous lanes
+//! equals the shift ([`approx_mul_dlzs`](crate::lze::approx_mul_dlzs)) on
+//! every operand pair, with a zero lane adding 0. `K̂` walks the row-major
+//! `W_k` row by row in `i32` lanes (`i64` past 2^17 input features) and
+//! `Â` is an `i64` dot product of a `K̂` code row and a decoded `Q` row;
+//! integer sums are order-free, so both are bit-identical to the lane-by-lane
+//! loop. The shift and add counts come from nonzero-lane counts — for a `K̂`
+//! row, the nonzero weights of every row of `W_k` its nonzero tokens meet;
+//! for an `Â` row, the nonzero `K̂` entries of every column its nonzero `Q`
+//! codes meet — and are recorded once per output row.
 
-use crate::lze::{approx_mul_dlzs, approx_mul_vanilla, encode, LzCode};
+use crate::lze::{approx_mul_vanilla, encode, LzCode};
 use crate::ops::{OpCounts, OpKind};
 use sofa_tensor::fixed::{packed_bytes, Quantized};
 use sofa_tensor::Matrix;
@@ -101,35 +116,35 @@ impl DlzsPredictor {
         assert_eq!(x.cols(), self.input_dim, "token width mismatch");
         let xq = Quantized::from_matrix(8, x);
         let out_scale = xq.params.scale * self.wk_scale;
-        // Token rows are independent: fan out across cores, tally one
-        // OpCounts per row and sum them in row order afterwards, so both
-        // K̂ and the counters are bit-identical to the sequential loop.
+        // Weights decode to ±2^(e−1) ≤ 128 in magnitude, so every
+        // token-weight product fits an i16.
+        let w_vals: Vec<i16> = self.wk_codes.iter().map(|c| c.value() as i16).collect();
+        let hd = self.head_dim;
+        let w_row_nnz: Vec<u64> = (0..self.input_dim)
+            .map(|n| {
+                w_vals[n * hd..(n + 1) * hd]
+                    .iter()
+                    .filter(|&&v| v != 0)
+                    .count() as u64
+            })
+            .collect();
+        let narrow = self.input_dim < I32_LANE_MAX_TERMS;
+        // Token rows are independent: fan out across cores and merge in row
+        // order, so K̂ and the counters are identical at any thread count.
         let rows = sofa_par::par_map_index(x.rows(), |i| {
             let xrow = xq.row(i);
-            let mut ops = OpCounts::new();
-            let mut vals = vec![0.0f32; self.head_dim];
-            for (j, slot) in vals.iter_mut().enumerate() {
-                let mut acc: i64 = 0;
-                for (n, &xv) in xrow.iter().enumerate() {
-                    let code = self.wk_codes[n * self.head_dim + j];
-                    if xv == 0 || code.is_zero() {
-                        // The zero-eliminator removes these lanes in hardware.
-                        continue;
-                    }
-                    acc += approx_mul_dlzs(xv, code);
-                    ops.record(OpKind::Shift, 1);
-                    ops.record(OpKind::Add, 1);
-                }
-                // Truncated to 16 bits in hardware before the next phase.
-                let acc = acc.clamp(i16::MIN as i64, i16::MAX as i64);
-                *slot = acc as f32 * out_scale;
+            let mut vals = vec![0.0f32; hd];
+            if narrow {
+                key_row::<i32>(xrow, &w_vals, out_scale, &mut vals);
+            } else {
+                key_row::<i64>(xrow, &w_vals, out_scale, &mut vals);
             }
-            (vals, ops)
+            (vals, live_lanes(xrow, &w_row_nnz))
         });
         let mut out = Matrix::zeros(x.rows(), self.head_dim);
-        for (i, (vals, ops)) in rows.into_iter().enumerate() {
+        for (i, (vals, lanes)) in rows.into_iter().enumerate() {
             out.row_mut(i).copy_from_slice(&vals);
-            stats.ops += ops;
+            record_shift_adds(&mut stats.ops, lanes);
         }
         stats.weight_bytes += self.weight_storage_bytes();
         stats.activation_bytes += (x.rows() * x.cols()) as u64; // 8-bit tokens
@@ -154,36 +169,35 @@ impl DlzsPredictor {
         let qq = Quantized::from_matrix(16, q);
         let kq = Quantized::from_matrix(16, k_hat);
         let out_scale = qq.params.scale * kq.params.scale;
-        // Convert Q once per element (configurable 16-bit LZE).
-        let q_codes: Vec<LzCode> = qq.codes().iter().map(|&c| encode(c, 16)).collect();
-        stats.ops.record(OpKind::LzEncode, q_codes.len() as u64);
+        // Convert Q once per element (configurable 16-bit LZE), decoded to
+        // ±2^(e−1): at most 2^15 in magnitude, as is every 16-bit K̂ code.
+        let q_vals: Vec<i32> = qq
+            .codes()
+            .iter()
+            .map(|&c| encode(c, 16).value() as i32)
+            .collect();
+        stats.ops.record(OpKind::LzEncode, q_vals.len() as u64);
+        let hd = q.cols();
+        let mut k_col_nnz = vec![0u64; hd];
+        for j in 0..kq.rows() {
+            for (nnz, &kv) in k_col_nnz.iter_mut().zip(kq.row(j)) {
+                *nnz += u64::from(kv != 0);
+            }
+        }
 
         // Query rows are independent — same fan-out/ordered-merge scheme as
-        // the key-prediction phase (bit-identical at any thread count).
+        // the key-prediction phase.
         let rows = sofa_par::par_map_index(q.rows(), |i| {
-            let qrow = &q_codes[i * q.cols()..(i + 1) * q.cols()];
-            let mut ops = OpCounts::new();
-            let mut vals = vec![0.0f32; k_hat.rows()];
-            for (j, slot) in vals.iter_mut().enumerate() {
-                let krow = kq.row(j);
-                let mut acc: i64 = 0;
-                for (d, &code) in qrow.iter().enumerate() {
-                    let kv = krow[d];
-                    if kv == 0 || code.is_zero() {
-                        continue;
-                    }
-                    acc += approx_mul_dlzs(kv, code);
-                    ops.record(OpKind::Shift, 1);
-                    ops.record(OpKind::Add, 1);
-                }
-                *slot = acc as f32 * out_scale;
-            }
-            (vals, ops)
+            let qrow = &q_vals[i * hd..(i + 1) * hd];
+            let vals: Vec<f32> = (0..kq.rows())
+                .map(|j| dot_i32(kq.row(j), qrow) as f32 * out_scale)
+                .collect();
+            (vals, live_lanes(qrow, &k_col_nnz))
         });
         let mut out = Matrix::zeros(q.rows(), k_hat.rows());
-        for (i, (vals, ops)) in rows.into_iter().enumerate() {
+        for (i, (vals, lanes)) in rows.into_iter().enumerate() {
             out.row_mut(i).copy_from_slice(&vals);
-            stats.ops += ops;
+            record_shift_adds(&mut stats.ops, lanes);
         }
         stats.activation_bytes += (q.rows() * q.cols() * 2) as u64; // 16-bit Q
         out
@@ -197,6 +211,58 @@ impl DlzsPredictor {
         let scores = self.predict_scores(q, &k_hat, &mut stats);
         (scores, stats)
     }
+}
+
+/// Terms below which a `K̂` lane cannot overflow an `i32` accumulator: each
+/// term is at most `2^14` in magnitude (8-bit token times a weight of at most
+/// `2^7`), and `(2^17 − 1)·2^14 < 2^31`.
+const I32_LANE_MAX_TERMS: usize = 1 << 17;
+
+/// One `K̂` row: `acc[j] = Σ_n x[n]·w[n][j]`, walking the decoded weights
+/// `w_vals` (shape `(xrow.len(), out.len())`) row by row so the inner loop
+/// is contiguous, then truncated to 16 bits (as in hardware, before the
+/// next phase) and rescaled into `out`. A zero token or weight adds 0, and
+/// integer sums are order-free, so every lane equals the zero-eliminated
+/// shift-add of [`approx_mul_dlzs`](crate::lze::approx_mul_dlzs).
+fn key_row<A>(xrow: &[i32], w_vals: &[i16], out_scale: f32, out: &mut [f32])
+where
+    A: Copy + Default + From<i16> + Into<i64> + std::ops::AddAssign,
+{
+    let hd = out.len();
+    let mut acc = vec![A::default(); hd];
+    for (n, &xv) in xrow.iter().enumerate() {
+        let xv = xv as i16;
+        for (a, &wv) in acc.iter_mut().zip(&w_vals[n * hd..(n + 1) * hd]) {
+            *a += A::from(xv * wv);
+        }
+    }
+    for (slot, a) in out.iter_mut().zip(acc) {
+        let a: i64 = a.into();
+        *slot = a.clamp(i16::MIN as i64, i16::MAX as i64) as f32 * out_scale;
+    }
+}
+
+/// `Σ_d k[d]·q[d]` of a 16-bit `K̂` code row and a decoded `Q` row. Each
+/// product is at most `2^30` in magnitude; the sum is taken in `i64`.
+fn dot_i32(k: &[i32], q: &[i32]) -> i64 {
+    k.iter().zip(q).map(|(&kv, &qv)| i64::from(kv * qv)).sum()
+}
+
+/// Lanes the zero-eliminator keeps in one output row: each nonzero operand
+/// `operands[n]` meets `nnz[n]` nonzero codes.
+fn live_lanes(operands: &[i32], nnz: &[u64]) -> u64 {
+    operands
+        .iter()
+        .zip(nnz)
+        .filter(|&(&v, _)| v != 0)
+        .map(|(_, &n)| n)
+        .sum()
+}
+
+/// One shift and one add per live lane, recorded in bulk.
+fn record_shift_adds(ops: &mut OpCounts, lanes: u64) {
+    ops.record(OpKind::Shift, lanes);
+    ops.record(OpKind::Add, lanes);
 }
 
 /// Baseline: 4-bit integer multiplication prediction of `Q·Kᵀ` (what prior
@@ -399,6 +465,57 @@ mod tests {
             r_dlzs >= r_vanilla,
             "DLZS recall {r_dlzs} should be at least vanilla {r_vanilla}"
         );
+    }
+
+    #[test]
+    fn lane_kernels_equal_the_shift_add_at_saturating_operands() {
+        // Quantisation fits a symmetric scale, so `predict_*` never feed the
+        // kernels a token code of -128 or a Q code of i16::MIN; the kernels
+        // must still equal the shift-add there, with the K̂ clamp hit on
+        // both sides, in both accumulator widths.
+        use crate::lze::approx_mul_dlzs;
+        let (n, hd) = (9, 5);
+        let xrow = [-128, -128, 127, 0, -128, -128, -128, -128, -128];
+        let w_codes: Vec<LzCode> = (0..n * hd)
+            .map(|k| encode([-128, 127, 0, 1, -1][k % hd], 8))
+            .collect();
+        let w_vals: Vec<i16> = w_codes.iter().map(|c| c.value() as i16).collect();
+        let expect: Vec<f32> = (0..hd)
+            .map(|j| {
+                let acc: i64 = (0..n)
+                    .map(|i| approx_mul_dlzs(xrow[i], w_codes[i * hd + j]))
+                    .sum();
+                acc.clamp(i16::MIN as i64, i16::MAX as i64) as f32 * 0.5
+            })
+            .collect();
+        assert!(expect.contains(&(i16::MAX as f32 * 0.5)));
+        assert!(expect.contains(&(i16::MIN as f32 * 0.5)));
+        let (mut narrow, mut wide) = (vec![0.0; hd], vec![0.0; hd]);
+        key_row::<i32>(&xrow, &w_vals, 0.5, &mut narrow);
+        key_row::<i64>(&xrow, &w_vals, 0.5, &mut wide);
+        assert_eq!(narrow, expect);
+        assert_eq!(wide, expect);
+
+        let q_codes: Vec<LzCode> = [i16::MIN, i16::MIN, 0, 1, i16::MAX, -1, i16::MIN]
+            .iter()
+            .map(|&c| encode(c as i32, 16))
+            .collect();
+        assert_eq!(q_codes[0].exponent, 16);
+        let q_vals: Vec<i32> = q_codes.iter().map(|c| c.value() as i32).collect();
+        for k in [
+            [i16::MIN as i32; 7],
+            [i16::MAX as i32; 7],
+            [-32768, 32767, 5, -3, 1, 0, -32768],
+        ] {
+            let expect: i64 = k
+                .iter()
+                .zip(&q_codes)
+                .map(|(&kv, &c)| approx_mul_dlzs(kv, c))
+                .sum();
+            assert_eq!(dot_i32(&k, &q_vals), expect);
+        }
+        // The sum outgrows i32 — hence the i64 accumulator.
+        assert!(dot_i32(&[i16::MIN as i32; 7], &q_vals) > i32::MAX as i64);
     }
 
     #[test]

@@ -292,6 +292,43 @@ mod tests {
         let _ = encode(300, 8);
     }
 
+    /// Every distinct code a `width`-bit operand encodes to.
+    fn all_codes(width: u32) -> Vec<LzCode> {
+        let lim = 1i32 << (width - 1);
+        let mut codes: Vec<LzCode> = Vec::new();
+        for c in -lim..lim {
+            let code = encode(c, width);
+            if !codes.contains(&code) {
+                codes.push(code);
+            }
+        }
+        codes
+    }
+
+    #[test]
+    fn decoded_code_times_operand_equals_the_dlzs_shift_for_every_lane() {
+        // The host kernels multiply by the decoded power of two instead of
+        // shifting; this pins the two equal on every operand/code pair, and
+        // pins the i16 bounds the kernels rely on.
+        let codes8 = all_codes(8);
+        let codes16 = all_codes(16);
+        assert_eq!((codes8.len(), codes16.len()), (16, 32));
+        for &code in &codes8 {
+            for full in i8::MIN as i32..=i8::MAX as i32 {
+                let lane = full as i64 * code.value();
+                assert_eq!(lane, approx_mul_dlzs(full, code), "{full} × {code:?}");
+                assert!(i16::try_from(lane).is_ok(), "{full} × {code:?}");
+            }
+        }
+        for &code in &codes16 {
+            assert!(i16::try_from(code.value()).is_ok(), "{code:?}");
+            for full in i16::MIN as i32..=i16::MAX as i32 {
+                let lane = full as i64 * code.value();
+                assert_eq!(lane, approx_mul_dlzs(full, code), "{full} × {code:?}");
+            }
+        }
+    }
+
     #[test]
     fn dlzs_never_overestimates_by_more_than_2x() {
         // |x|·2^(e(y)-1) ≤ |x·y| < |x|·2^(e(y)), so the approximation is

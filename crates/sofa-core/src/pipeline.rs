@@ -430,6 +430,11 @@ impl SofaPipeline {
 /// Generates only the needed K/V rows (`K_i = x_i·W_k`, `V_i = x_i·W_v`)
 /// into `scratch`'s reset buffers, leaving unneeded rows zero. Counts one
 /// multiply and one add per MAC.
+///
+/// Each needed row accumulates `x[i]·W[i, ..]` over contiguous weight rows,
+/// `i` ascending from the zeroed output, so every element adds its terms in
+/// exactly the order of a per-element dot product (Rust never contracts
+/// `a + x·y` into an FMA): the result is bit-identical to it.
 fn generate_kv_on_demand(
     w: &AttentionWorkload,
     needed: &[usize],
@@ -442,18 +447,20 @@ fn generate_kv_on_demand(
     scratch.values.reset_zeros(w.seq_len(), d);
     for &row in needed {
         let xrow = w.x.row(row);
-        for j in 0..d {
-            let mut ka = 0.0f32;
-            let mut va = 0.0f32;
-            for (i, &x) in xrow.iter().enumerate() {
-                ka += x * w.wk.get(i, j);
-                va += x * w.wv.get(i, j);
-            }
-            scratch.keys.set(row, j, ka);
-            scratch.values.set(row, j, va);
+        project_row(xrow, &w.wk, scratch.keys.row_mut(row));
+        project_row(xrow, &w.wv, scratch.values.row_mut(row));
+    }
+    let macs = 2 * (n * d * needed.len()) as u64;
+    ops.record(OpKind::Mul, macs);
+    ops.record(OpKind::Add, macs);
+}
+
+/// `out += xrow · weights`, one contiguous weight row per input feature.
+fn project_row(xrow: &[f32], weights: &Matrix, out: &mut [f32]) {
+    for (i, &x) in xrow.iter().enumerate() {
+        for (o, &wv) in out.iter_mut().zip(weights.row(i)) {
+            *o += x * wv;
         }
-        ops.record(OpKind::Mul, 2 * (n * d) as u64);
-        ops.record(OpKind::Add, 2 * (n * d) as u64);
     }
 }
 
@@ -584,6 +591,57 @@ mod tests {
         assert_eq!(s1.output, pipeline.run(&small).output);
         assert_eq!(b1.output, b2.output);
         assert_eq!(b1.mask, b2.mask);
+    }
+
+    /// On-demand K/V generation in per-element dot-product order, the
+    /// order the row-streaming kernel must reproduce bit for bit.
+    fn kv_reference(w: &AttentionWorkload, needed: &[usize]) -> (Matrix, Matrix) {
+        let d = w.wk.cols();
+        let mut keys = Matrix::zeros(w.seq_len(), d);
+        let mut values = Matrix::zeros(w.seq_len(), d);
+        for &row in needed {
+            for j in 0..d {
+                let mut ka = 0.0f32;
+                let mut va = 0.0f32;
+                for (i, &x) in w.x.row(row).iter().enumerate() {
+                    ka += x * w.wk.get(i, j);
+                    va += x * w.wv.get(i, j);
+                }
+                keys.set(row, j, ka);
+                values.set(row, j, va);
+            }
+        }
+        (keys, values)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn kv_generation_is_bit_identical_to_dot_product_order() {
+        let big = workload();
+        let small = AttentionWorkload::generate(&ScoreDistribution::gpt_like(), 4, 64, 31, 17, 5);
+        let mut scratch = RunScratch::new();
+        // Big → small → big on one scratch, each with a non-contiguous
+        // subset of rows, so stale rows of a larger shape must be cleared.
+        for (w, needed) in [
+            (&big, vec![0, 3, 4, 9, 64, 127]),
+            (&small, vec![1, 2, 30, 63]),
+            (&big, vec![5, 77, 100]),
+        ] {
+            let mut ops = OpCounts::new();
+            generate_kv_on_demand(w, &needed, &mut ops, &mut scratch);
+            let (keys, values) = kv_reference(w, &needed);
+            assert_eq!(bits(&scratch.keys), bits(&keys));
+            assert_eq!(bits(&scratch.values), bits(&values));
+            for row in (0..w.seq_len()).filter(|r| !needed.contains(r)) {
+                assert!(scratch.keys.row(row).iter().all(|v| v.to_bits() == 0));
+                assert!(scratch.values.row(row).iter().all(|v| v.to_bits() == 0));
+            }
+            let macs = 2 * (w.x.cols() * w.wk.cols() * needed.len()) as u64;
+            assert_eq!((ops.mul, ops.add, ops.total_ops()), (macs, macs, 2 * macs));
+        }
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! of the SOFA reproduction.
 
 use proptest::prelude::*;
-use sofa_core::lze::{approx_mul_dlzs, approx_mul_vanilla, encode};
-use sofa_core::ops::OpCounts;
+use sofa_core::dlzs::{DlzsPredictor, PredictionStats};
+use sofa_core::lze::{approx_mul_dlzs, approx_mul_vanilla, encode, LzCode};
+use sofa_core::ops::{OpCounts, OpKind};
 use sofa_core::sads::{sads_topk_row, SadsConfig};
 use sofa_core::sufa::{sorted_updating_attention, SuFaOrder};
 use sofa_core::topk::{topk_exact, topk_row_exact, TopKMask};
 use sofa_tensor::attention::{attention_scores, masked_attention};
+use sofa_tensor::fixed::{packed_bytes, Quantized};
 use sofa_tensor::softmax::softmax_row;
 use sofa_tensor::stats::{max_abs_diff, recall};
 use sofa_tensor::Matrix;
@@ -31,6 +33,136 @@ fn json_token_soup(max_len: usize) -> impl Strategy<Value = String> {
     ];
     prop::collection::vec(0usize..TOKENS.len(), 0..max_len)
         .prop_map(|picks| picks.into_iter().map(|i| TOKENS[i]).collect())
+}
+
+/// The scalar DLZS kernels as they stood before the contiguous-lane
+/// rewrite, kept as the differential reference: a column walk of `W_k`,
+/// one `approx_mul_dlzs` and two `OpCounts::record` calls per lane.
+struct ScalarDlzs {
+    wk_codes: Vec<LzCode>,
+    input_dim: usize,
+    head_dim: usize,
+    wk_scale: f32,
+}
+
+impl ScalarDlzs {
+    fn prepare(wk: &Matrix) -> Self {
+        let q = Quantized::from_matrix(8, wk);
+        let codes = q
+            .codes()
+            .iter()
+            .map(|&c| encode(c, 8))
+            .collect::<Vec<LzCode>>();
+        ScalarDlzs {
+            wk_codes: codes,
+            input_dim: wk.rows(),
+            head_dim: wk.cols(),
+            wk_scale: q.params.scale,
+        }
+    }
+
+    fn weight_storage_bytes(&self) -> u64 {
+        packed_bytes(self.wk_codes.len(), LzCode::storage_bits(8)) as u64
+    }
+
+    fn predict_keys(&self, x: &Matrix, stats: &mut PredictionStats) -> Matrix {
+        assert_eq!(x.cols(), self.input_dim, "token width mismatch");
+        let xq = Quantized::from_matrix(8, x);
+        let out_scale = xq.params.scale * self.wk_scale;
+        let rows = sofa_par::par_map_index(x.rows(), |i| {
+            let xrow = xq.row(i);
+            let mut ops = OpCounts::new();
+            let mut vals = vec![0.0f32; self.head_dim];
+            for (j, slot) in vals.iter_mut().enumerate() {
+                let mut acc: i64 = 0;
+                for (n, &xv) in xrow.iter().enumerate() {
+                    let code = self.wk_codes[n * self.head_dim + j];
+                    if xv == 0 || code.is_zero() {
+                        continue;
+                    }
+                    acc += approx_mul_dlzs(xv, code);
+                    ops.record(OpKind::Shift, 1);
+                    ops.record(OpKind::Add, 1);
+                }
+                let acc = acc.clamp(i16::MIN as i64, i16::MAX as i64);
+                *slot = acc as f32 * out_scale;
+            }
+            (vals, ops)
+        });
+        let mut out = Matrix::zeros(x.rows(), self.head_dim);
+        for (i, (vals, ops)) in rows.into_iter().enumerate() {
+            out.row_mut(i).copy_from_slice(&vals);
+            stats.ops += ops;
+        }
+        stats.weight_bytes += self.weight_storage_bytes();
+        stats.activation_bytes += (x.rows() * x.cols()) as u64;
+        out
+    }
+
+    fn predict_scores(&self, q: &Matrix, k_hat: &Matrix, stats: &mut PredictionStats) -> Matrix {
+        assert_eq!(q.cols(), k_hat.cols(), "head dimension mismatch");
+        let qq = Quantized::from_matrix(16, q);
+        let kq = Quantized::from_matrix(16, k_hat);
+        let out_scale = qq.params.scale * kq.params.scale;
+        let q_codes: Vec<LzCode> = qq.codes().iter().map(|&c| encode(c, 16)).collect();
+        stats.ops.record(OpKind::LzEncode, q_codes.len() as u64);
+        let rows = sofa_par::par_map_index(q.rows(), |i| {
+            let qrow = &q_codes[i * q.cols()..(i + 1) * q.cols()];
+            let mut ops = OpCounts::new();
+            let mut vals = vec![0.0f32; k_hat.rows()];
+            for (j, slot) in vals.iter_mut().enumerate() {
+                let krow = kq.row(j);
+                let mut acc: i64 = 0;
+                for (d, &code) in qrow.iter().enumerate() {
+                    let kv = krow[d];
+                    if kv == 0 || code.is_zero() {
+                        continue;
+                    }
+                    acc += approx_mul_dlzs(kv, code);
+                    ops.record(OpKind::Shift, 1);
+                    ops.record(OpKind::Add, 1);
+                }
+                *slot = acc as f32 * out_scale;
+            }
+            (vals, ops)
+        });
+        let mut out = Matrix::zeros(q.rows(), k_hat.rows());
+        for (i, (vals, ops)) in rows.into_iter().enumerate() {
+            out.row_mut(i).copy_from_slice(&vals);
+            stats.ops += ops;
+        }
+        stats.activation_bytes += (q.rows() * q.cols() * 2) as u64;
+        out
+    }
+}
+
+/// A `rows × cols` matrix drawn from `seed`: entries uniform in `[-1, 1)`,
+/// or, with `signs`, of magnitude in `[0.5, 1)` and sign `signs(i, j)`.
+/// Rows in `zero_rows` and columns in `zero_cols` are all zero.
+fn seeded_matrix(
+    rows: usize,
+    cols: usize,
+    seed: u64,
+    signs: Option<fn(usize, usize) -> f32>,
+    zero_rows: &[usize],
+    zero_cols: &[usize],
+) -> Matrix {
+    Matrix::from_fn(rows, cols, |i, j| {
+        let bits = sofa_tensor::rng::derive_seed(seed, (i * cols + j) as u64);
+        let u = (bits >> 40) as f32 / (1u64 << 24) as f32;
+        if zero_rows.contains(&i) || zero_cols.contains(&j) {
+            0.0
+        } else {
+            match signs {
+                Some(sign) => sign(i, j) * (0.5 + 0.5 * u),
+                None => 2.0 * u - 1.0,
+            }
+        }
+    })
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -68,6 +200,63 @@ proptest! {
     }
 
     // ---------------- leading-zero encoding ----------------
+
+    /// The contiguous-lane DLZS kernels equal the scalar reference bit for
+    /// bit, counters included: odd shapes, all-zero token rows, weight rows
+    /// and columns, `K̂` columns and `Q` rows, and (`clamp`) positive tokens
+    /// against weight columns of alternating sign, so `K̂` saturates at both
+    /// ends of the i16 range.
+    #[test]
+    fn dlzs_kernels_match_the_scalar_reference(
+        dims in (1usize..40, 1usize..24, 1usize..48, 1usize..8),
+        seed in 0u64..1_000_000,
+        clamp in prop::bool::ANY,
+    ) {
+        let (input_dim, head_dim, seq_len, queries) = dims;
+        let zero_rows = [0, seq_len / 2];
+        let (x, wk) = if clamp {
+            let alternating: fn(usize, usize) -> f32 = |_, j| if j % 2 == 0 { 1.0 } else { -1.0 };
+            (
+                seeded_matrix(seq_len, input_dim, seed, Some(|_, _| 1.0), &zero_rows, &[]),
+                seeded_matrix(input_dim, head_dim, seed + 1, Some(alternating), &[], &[]),
+            )
+        } else {
+            let zero_w_row = [input_dim / 2];
+            (
+                seeded_matrix(seq_len, input_dim, seed, None, &zero_rows, &[input_dim / 3]),
+                seeded_matrix(input_dim, head_dim, seed + 1, None, &zero_w_row, &[head_dim / 2]),
+            )
+        };
+        let q = seeded_matrix(queries, head_dim, seed + 2, None, &[queries / 2], &[head_dim / 3]);
+
+        let fast = DlzsPredictor::prepare(&wk);
+        let slow = ScalarDlzs::prepare(&wk);
+        let (mut fs, mut ss) = (PredictionStats::default(), PredictionStats::default());
+        let k_fast = fast.predict_keys(&x, &mut fs);
+        let k_slow = slow.predict_keys(&x, &mut ss);
+        prop_assert_eq!(bits(&k_fast), bits(&k_slow));
+        prop_assert_eq!(fs, ss);
+        let live_row = (0..seq_len).find(|r| !zero_rows.contains(r));
+        if let (true, true, Some(i)) = (clamp, input_dim >= 8, live_row) {
+            let scale = Quantized::from_matrix(8, &x).params.scale
+                * Quantized::from_matrix(8, &wk).params.scale;
+            let row = k_fast.row(i);
+            prop_assert_eq!(row[0], i16::MAX as f32 * scale);
+            if head_dim > 1 {
+                prop_assert_eq!(row[1], i16::MIN as f32 * scale);
+            }
+        }
+
+        // Scores over the predicted keys and over keys with a zero column.
+        let k_zero_col = seeded_matrix(seq_len, head_dim, seed + 3, None, &[seq_len / 3], &[0]);
+        for k_hat in [&k_fast, &k_zero_col] {
+            let (mut fs, mut ss) = (PredictionStats::default(), PredictionStats::default());
+            let a_fast = fast.predict_scores(&q, k_hat, &mut fs);
+            let a_slow = slow.predict_scores(&q, k_hat, &mut ss);
+            prop_assert_eq!(bits(&a_fast), bits(&a_slow));
+            prop_assert_eq!(fs, ss);
+        }
+    }
 
     #[test]
     fn dlzs_magnitude_is_within_factor_two(x in -127i32..=127, y in -127i32..=127) {
