@@ -87,6 +87,28 @@ fn serve_adaptive_json_is_byte_stable() {
     assert_matches_golden("serve_adaptive.json", &table.to_json());
 }
 
+/// Every paper artefact of the experiment registry, one JSON object per
+/// line: the entry's name and its tables exactly as `harness exp NAME
+/// --json` writes them. The analytic accelerator model feeds most of these
+/// figures, so any change to its work or traffic accounting fails here.
+#[test]
+fn paper_artefacts_json_is_byte_stable() {
+    let lines: Vec<String> = sofa_bench::registry::registry()
+        .into_iter()
+        .filter(|e| e.paper)
+        .map(|e| {
+            let out = (e.run)();
+            format!(
+                "{{\"name\":\"{}\",\"tables\":{}}}",
+                e.name,
+                sofa_bench::report::tables_to_json(&out.tables)
+            )
+        })
+        .collect();
+    let json = format!("[\n{}\n]\n", lines.join(",\n"));
+    assert_matches_golden("paper_artefacts.json", &json);
+}
+
 /// Exact `CycleReport`s, one JSON object per (task, `SimParams`) case:
 /// every field, `f64`s in round-trip `{:?}` form, and the timeline as its
 /// length plus an order-sensitive FNV-1a checksum of its entries. Any event
