@@ -3,13 +3,17 @@
 //! [`SofaAccelerator`] models the paper's design: the four stages execute as a
 //! fine-grained tiled pipeline, intermediate matrices never leave the chip,
 //! on-demand KV generation skips unneeded keys and RASS de-duplicates KV
-//! fetches. [`WholeRowAccelerator`] models the prior-work dynamic-sparsity
+//! fetches. Its work and DRAM traffic are the sum of its per-tile
+//! descriptors ([`crate::descriptor`]), the same ones the cycle-level
+//! simulator replays; this module adds pipelining, latency and energy on
+//! top. [`WholeRowAccelerator`] models the prior-work dynamic-sparsity
 //! accelerators (FACT / Energon style): whole-row processing serialises the
 //! stages and spills the Pre-Atten / Atten matrices to DRAM once they exceed
 //! the on-chip SRAM, which is what makes memory access time dominate at high
 //! token parallelism (Fig. 3).
 
 use crate::config::HwConfig;
+use crate::descriptor::sum_work;
 use crate::energy::{compute_energy_j, EnergyBreakdown};
 use crate::engines::{
     dlzs_cycles, kvgen_cycles, sads_cycles, sufa_cycles, DlzsWork, KvGenWork, SortWork, SuFaWork,
@@ -273,55 +277,18 @@ impl SofaAccelerator {
         &self.cfg
     }
 
-    /// Simulates one attention task.
+    /// Simulates one attention task: the sum of its expected-value tile
+    /// descriptors ([`SofaAccelerator::tile_descriptors`]), pipelined and
+    /// priced.
     pub fn simulate(&self, task: &AttentionTask) -> SimReport {
         let cfg = &self.cfg;
-        let t = task.queries as u64;
-        let s = task.seq_len as u64;
-        let h = task.hidden as u64;
-        let a = task.heads as u64;
-        let k = task.k() as u64;
-        let union_keys = (task.key_union_fraction * task.seq_len as f64).ceil() as u64;
         let util = task.line_utilization(cfg.query_parallelism);
-
-        // ---- Work amounts -----------------------------------------------
-        let dlzs = DlzsWork {
-            // Â prediction (T·S·H) is always needed; K̂ prediction (S·H·H)
-            // only when K/V are generated on demand rather than pre-existing.
-            shift_ops: t * s * h
-                + if self.include_kv_generation {
-                    s * h * h
-                } else {
-                    0
-                },
-            lz_encodes: t * h,
-        };
-        let sort = SortWork { elements: t * s };
-        let kvgen = KvGenWork {
-            macs: if self.include_kv_generation {
-                2 * union_keys * h * h
-            } else {
-                0
-            },
-        };
-        let mut sufa_exps = a * t * k;
-        if !self.sufa {
-            // Without the sorted-update trick the formal stage pays the FA-2
-            // per-tile maximum refresh: one extra exp per tile per row per
-            // head and the accumulator rescaling multiplies.
-            let tiles = (task.k() as u64).div_ceil(task.tile_size as u64).max(1);
-            sufa_exps += a * t * tiles;
-        }
-        let sufa = SuFaWork {
-            macs: 2 * t * k * h,
-            exps: sufa_exps,
-            divs: t * h,
-        };
-
+        let work = self.tile_descriptors(task, None);
+        let (dlzs, sort, kvgen, sufa) = sum_work(&work);
         let cycles = StageCycles::from_work(cfg, &dlzs, &sort, &kvgen, &sufa, util);
 
         // ---- Pipelining ---------------------------------------------------
-        let tiles = (task.seq_len.div_ceil(task.tile_size)).max(1) as f64;
+        let tiles = work.len() as f64;
         let total_cycles = if self.tiled_pipeline {
             // Steady state: the slowest stage limits throughput; the other
             // stages contribute one tile's worth of fill/drain latency.
@@ -337,27 +304,9 @@ impl SofaAccelerator {
             cfg.dram_pj_per_bit,
             cfg.interface_pj_per_bit,
         );
-        // Low-precision keys (4-bit) for the prediction stage, 16-bit queries,
-        // the selected K/V vectors (each fetched once thanks to RASS) and the
-        // 16-bit output. Intermediate score/probability matrices never leave
-        // the chip.
-        dram.read(s * h / 2);
-        dram.read(t * h * 2);
-        dram.read(2 * union_keys * h * 2);
-        dram.write(t * h * 2);
-        if self.include_kv_generation {
-            // 8-bit tokens, 5-bit LZ weights and 16-bit W_k/W_v for the
-            // on-demand projection of the selected keys.
-            dram.read(s * h);
-            dram.read(5 * h * h / 8);
-            dram.read(2 * h * h * 2);
-        }
-        if !self.rass {
-            // Without RASS the formal stage re-fetches shared KV vectors per
-            // query instead of once per distinct key.
-            let per_query = 2 * t * k * h * 2;
-            let deduped = 2 * union_keys * h * 2;
-            dram.read(per_query.saturating_sub(deduped));
+        for w in &work {
+            dram.read(w.pred_read_bytes + w.kv_read_bytes + w.extra_formal_read_bytes);
+            dram.write(w.write_bytes);
         }
         let memory_time_s = dram.transfer_time_s();
 
@@ -382,7 +331,7 @@ impl SofaAccelerator {
         // On-chip traffic: every DRAM byte passes the SRAM once, operands are
         // re-read from SRAM roughly twice, and the predicted scores live
         // entirely on chip.
-        let sram_bytes = 3 * dram.total_bytes() + t * s * 2;
+        let sram_bytes = 3 * dram.total_bytes() + sort.elements * 2;
         let energy = EnergyBreakdown {
             compute_j: compute_energy_j(&ops),
             sram_j: sram_energy(cfg, sram_bytes),

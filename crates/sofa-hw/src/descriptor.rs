@@ -1,14 +1,14 @@
 //! Per-tile work descriptors of the cross-stage tiled pipeline.
 //!
-//! [`SofaAccelerator::simulate`] folds the whole task into four aggregate
-//! work amounts; a cycle-level simulator instead needs the task *per tile*:
-//! how much each engine computes for tile `i` and how many DRAM bytes each
-//! stage moves on behalf of tile `i`. [`SofaAccelerator::tile_descriptors`]
-//! exports exactly that, either from expected values or from the real
-//! per-tile selection counts of a [`TileSelectionStats`], and is constructed
-//! so the per-tile amounts sum to the aggregates the analytic model uses —
-//! the invariant that lets the cycle simulator be validated against the
-//! closed-form [`super::accel::SimReport`].
+//! The paper's cross-stage coordinated tiling defines the work and DRAM
+//! traffic of each stage per tile. [`SofaAccelerator::tile_descriptors`]
+//! exports exactly that: how much each engine computes for tile `i` and how
+//! many DRAM bytes each stage moves on behalf of tile `i`, either from
+//! expected values or from the real per-tile selection counts of a
+//! [`TileSelectionStats`]. These descriptors are the one definition of work
+//! and traffic: the analytic model ([`SofaAccelerator::simulate`]) adds them
+//! up with [`sum_work`] and the cycle-level simulator replays them tile by
+//! tile, so the two agree by construction.
 
 use crate::accel::{AttentionTask, SofaAccelerator};
 use crate::engines::{DlzsWork, KvGenWork, SortWork, SuFaWork};
@@ -50,6 +50,23 @@ impl TileWork {
     }
 }
 
+/// Sums per-tile engine work into the whole task's per-stage work amounts.
+pub fn sum_work(work: &[TileWork]) -> (DlzsWork, SortWork, KvGenWork, SuFaWork) {
+    work.iter().fold(
+        Default::default(),
+        |(mut dlzs, mut sort, mut kvgen, mut sufa), w| {
+            dlzs.shift_ops += w.dlzs.shift_ops;
+            dlzs.lz_encodes += w.dlzs.lz_encodes;
+            sort.elements += w.sort.elements;
+            kvgen.macs += w.kvgen.macs;
+            sufa.macs += w.sufa.macs;
+            sufa.exps += w.sufa.exps;
+            sufa.divs += w.sufa.divs;
+            (dlzs, sort, kvgen, sufa)
+        },
+    )
+}
+
 impl SofaAccelerator {
     /// Splits `task` into per-tile work descriptors.
     ///
@@ -61,8 +78,8 @@ impl SofaAccelerator {
     /// imbalance of the Distributed Cluster Effect to a cycle simulator.
     ///
     /// The descriptors honour this accelerator's ablation flags (`rass`,
-    /// `sufa`, `include_kv_generation`) and sum to the aggregate work and
-    /// traffic amounts of [`SofaAccelerator::simulate`].
+    /// `sufa`, `include_kv_generation`); [`SofaAccelerator::simulate`] is
+    /// their sum at `stats == None`.
     ///
     /// # Panics
     ///
@@ -98,16 +115,14 @@ impl SofaAccelerator {
         let n = stats.num_tiles();
         let widths: Vec<f64> = (0..n).map(|i| stats.tile_width(i) as f64).collect();
         // Fall back to tile widths when nothing was kept, so fixed per-task
-        // costs (softmax divisions, refetches) are still distributed and the
-        // per-tile amounts keep summing to the aggregate model's.
+        // costs (softmax divisions, refetches) are still distributed.
         let kept_weights: Vec<f64> = if stats.total_kept() > 0 {
             stats.kept_per_tile.iter().map(|&k| k as f64).collect()
         } else {
             widths.clone()
         };
 
-        // Quantities charged once per task, spread across tiles so the sums
-        // match the aggregate model exactly.
+        // Quantities charged once per task, spread across tiles.
         let lz_encodes = split_proportional(t * h, &widths);
         let divs = split_proportional(t * h, &kept_weights);
         let extra_exps = if self.sufa {
@@ -134,7 +149,10 @@ impl SofaAccelerator {
                 let first = i == 0;
                 let last = i + 1 == n;
 
-                let mut pred_read = keys * h / 2; // 4-bit keys for prediction
+                // 4-bit keys for prediction, split so the tiles add up to
+                // exactly ⌊S·H/2⌋ bytes.
+                let start = (i * stats.tile_size) as u64;
+                let mut pred_read = (start + keys) * h / 2 - start * h / 2;
                 if first {
                     pred_read += t * h * 2; // 16-bit queries
                 }
@@ -182,37 +200,6 @@ impl SofaAccelerator {
     }
 }
 
-impl SofaAccelerator {
-    /// Lowers a batch of serving requests into per-request tile-descriptor
-    /// streams: one `Vec<TileWork>` per task, in input order, each optionally
-    /// driven by that request's real selection statistics. Keeping requests
-    /// separate (instead of fusing them into one task) is what lets a
-    /// serving layer attribute DRAM traffic and latency back to individual
-    /// requests — `tests/integration_serve.rs` uses this export as the
-    /// independent reference for the shared-channel conservation check.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stats` is non-empty and its length differs from `tasks`,
-    /// or if any stats entry disagrees with its task (see
-    /// [`SofaAccelerator::tile_descriptors`]).
-    pub fn request_descriptors(
-        &self,
-        tasks: &[AttentionTask],
-        stats: &[Option<&TileSelectionStats>],
-    ) -> Vec<Vec<TileWork>> {
-        assert!(
-            stats.is_empty() || stats.len() == tasks.len(),
-            "one stats entry per task (or none at all)"
-        );
-        tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| self.tile_descriptors(task, stats.get(i).copied().flatten()))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,38 +217,128 @@ mod tests {
         assert!(d.iter().enumerate().all(|(i, w)| w.index == i));
     }
 
+    /// Random task shapes: odd and even `H` and `Bc`, short last tiles and
+    /// any key-union fraction, plus the fixed task above.
+    fn random_tasks() -> Vec<AttentionTask> {
+        let mut state = 0x5eed_u64;
+        let mut next = |lo: u64, hi: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            lo + (z ^ (z >> 31)) % (hi - lo + 1)
+        };
+        let mut tasks = vec![task()];
+        for _ in 0..300 {
+            let (t, s, h, heads) = (next(1, 64), next(1, 700), next(1, 257), next(1, 8));
+            let keep = next(1, 1000) as f64 / 1000.0;
+            let mut task = AttentionTask::new(
+                t as usize,
+                s as usize,
+                h as usize,
+                heads as usize,
+                keep,
+                next(1, 80) as usize,
+            );
+            task.key_union_fraction = next(0, 1000) as f64 / 1000.0;
+            tasks.push(task);
+        }
+        tasks
+    }
+
+    /// The accelerator under all 16 combinations of its ablation flags.
+    fn flag_variants(cfg: HwConfig) -> impl Iterator<Item = SofaAccelerator> {
+        (0..16u8).map(move |bits| {
+            let mut accel = SofaAccelerator::new(cfg);
+            accel.tiled_pipeline = bits & 1 != 0;
+            accel.rass = bits & 2 != 0;
+            accel.sufa = bits & 4 != 0;
+            accel.include_kv_generation = bits & 8 != 0;
+            accel
+        })
+    }
+
+    /// The closed-form DRAM bytes of a task: `(prediction, kv, extra, write)`.
+    fn closed_form_traffic(accel: &SofaAccelerator, t: &AttentionTask) -> [u64; 4] {
+        let (tq, s, h, k) = (
+            t.queries as u64,
+            t.seq_len as u64,
+            t.hidden as u64,
+            t.k() as u64,
+        );
+        let union = (t.key_union_fraction * t.seq_len as f64).ceil() as u64;
+        let mut pred = s * h / 2 + 2 * tq * h;
+        if accel.include_kv_generation {
+            pred += s * h + 5 * h * h / 8 + 4 * h * h;
+        }
+        let extra = if accel.rass {
+            0
+        } else {
+            (4 * tq * k * h).saturating_sub(4 * union * h)
+        };
+        [pred, 4 * union * h, extra, 2 * tq * h]
+    }
+
     #[test]
     fn per_tile_work_sums_to_aggregate_model() {
-        let t = task();
-        let accel = SofaAccelerator::new(HwConfig::small());
-        let d = accel.tile_descriptors(&t, None);
-        let tq = t.queries as u64;
-        let s = t.seq_len as u64;
-        let h = t.hidden as u64;
-        let a = t.heads as u64;
-        let k = t.k() as u64;
-        // Mirrors the aggregate amounts in SofaAccelerator::simulate.
-        assert_eq!(d.iter().map(|w| w.dlzs.shift_ops).sum::<u64>(), tq * s * h);
-        assert_eq!(d.iter().map(|w| w.dlzs.lz_encodes).sum::<u64>(), tq * h);
-        assert_eq!(d.iter().map(|w| w.sort.elements).sum::<u64>(), tq * s);
-        assert_eq!(d.iter().map(|w| w.sufa.macs).sum::<u64>(), 2 * tq * k * h);
-        assert_eq!(d.iter().map(|w| w.sufa.exps).sum::<u64>(), a * tq * k);
-        assert_eq!(d.iter().map(|w| w.sufa.divs).sum::<u64>(), tq * h);
+        for t in random_tasks() {
+            for accel in flag_variants(HwConfig::small()) {
+                let d = accel.tile_descriptors(&t, None);
+                let (tq, s, h, a, k) = (
+                    t.queries as u64,
+                    t.seq_len as u64,
+                    t.hidden as u64,
+                    t.heads as u64,
+                    t.k() as u64,
+                );
+                let union = (t.key_union_fraction * t.seq_len as f64).ceil() as u64;
+                let kv = accel.include_kv_generation;
+                let refresh = if accel.sufa {
+                    0
+                } else {
+                    a * tq * k.div_ceil(t.tile_size as u64)
+                };
+                let (dlzs, sort, kvgen, sufa) = sum_work(&d);
+                let ctx = format!("{t:?} {accel:?}");
+                assert_eq!(
+                    dlzs.shift_ops,
+                    tq * s * h + if kv { s * h * h } else { 0 },
+                    "{ctx}"
+                );
+                assert_eq!(dlzs.lz_encodes, tq * h, "{ctx}");
+                assert_eq!(sort.elements, tq * s, "{ctx}");
+                assert_eq!(kvgen.macs, if kv { 2 * union * h * h } else { 0 }, "{ctx}");
+                assert_eq!(sufa.macs, 2 * tq * k * h, "{ctx}");
+                assert_eq!(sufa.exps, a * tq * k + refresh, "{ctx}");
+                assert_eq!(sufa.divs, tq * h, "{ctx}");
+                let got = [
+                    d.iter().map(|w| w.pred_read_bytes).sum::<u64>(),
+                    d.iter().map(|w| w.kv_read_bytes).sum(),
+                    d.iter().map(|w| w.extra_formal_read_bytes).sum(),
+                    d.iter().map(|w| w.write_bytes).sum(),
+                ];
+                assert_eq!(got, closed_form_traffic(&accel, &t), "{ctx}");
+            }
+        }
     }
 
     #[test]
     fn per_tile_dram_bytes_match_analytic_traffic() {
-        let t = task();
-        let accel = SofaAccelerator::new(HwConfig::small());
-        let d = accel.tile_descriptors(&t, None);
-        let report = accel.simulate(&t);
-        let total: u64 = d.iter().map(|w| w.total_dram_bytes()).sum();
-        let rel = (total as f64 - report.dram_bytes as f64).abs() / report.dram_bytes as f64;
-        assert!(
-            rel < 0.01,
-            "descriptor traffic {total} vs analytic {} ({rel:.4})",
-            report.dram_bytes
-        );
+        for cfg in [HwConfig::small(), HwConfig::paper_default()] {
+            for t in random_tasks().into_iter().step_by(10) {
+                for accel in flag_variants(cfg) {
+                    let total: u64 = accel
+                        .tile_descriptors(&t, None)
+                        .iter()
+                        .map(TileWork::total_dram_bytes)
+                        .sum();
+                    let closed: u64 = closed_form_traffic(&accel, &t).iter().sum();
+                    assert_eq!(total, closed, "{t:?} {accel:?}");
+                    assert_eq!(accel.simulate(&t).dram_bytes, total, "{t:?} {accel:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -306,37 +383,6 @@ mod tests {
         assert!(d[0].sufa.macs > 0);
         assert!(d[1..].iter().all(|w| w.sufa.macs == 0));
         assert!(d[1..].iter().all(|w| w.kv_read_bytes == 0));
-    }
-
-    #[test]
-    fn request_descriptors_keep_requests_separate() {
-        let accel = SofaAccelerator::new(HwConfig::small());
-        let tasks = [
-            task(),
-            AttentionTask::new(2, 64, 128, 2, 0.5, 32), // decode-sized request
-        ];
-        let streams = accel.request_descriptors(&tasks, &[]);
-        assert_eq!(streams.len(), 2);
-        for (stream, t) in streams.iter().zip(tasks.iter()) {
-            assert_eq!(stream.len(), t.seq_len.div_ceil(t.tile_size));
-            let solo = accel.tile_descriptors(t, None);
-            assert_eq!(*stream, solo, "batch export must equal solo export");
-        }
-        // Real stats steer only the request they belong to.
-        use sofa_core::topk::TopKMask;
-        let mask = TopKMask::new(64, vec![vec![0, 1]; 2]);
-        let stats = TileSelectionStats::from_mask(&mask, 32);
-        let steered = accel.request_descriptors(&tasks, &[None, Some(&stats)]);
-        assert_eq!(steered[0], streams[0]);
-        assert_ne!(steered[1], streams[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one stats entry per task")]
-    fn mismatched_stats_arity_panics() {
-        let accel = SofaAccelerator::new(HwConfig::small());
-        let tasks = [task(), task()];
-        let _ = accel.request_descriptors(&tasks, &[None]);
     }
 
     #[test]

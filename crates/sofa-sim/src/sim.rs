@@ -27,8 +27,7 @@ use crate::report::{BufferActivity, CycleComparison, CycleReport};
 use sofa_core::tiling::TileSelectionStats;
 use sofa_hw::accel::{AttentionTask, SofaAccelerator, StageCycles};
 use sofa_hw::config::HwConfig;
-use sofa_hw::descriptor::TileWork;
-use sofa_hw::engines::{DlzsWork, KvGenWork, SortWork, SuFaWork};
+use sofa_hw::descriptor::{sum_work, TileWork};
 use sofa_obs::TraceRecorder;
 
 pub(crate) const STAGES: usize = 4;
@@ -223,27 +222,9 @@ impl CycleSim {
         let floor = self.params.min_tile_cycles;
         let n = work.len();
 
-        // Aggregate work per stage (equals the analytic model's amounts when
-        // the descriptors come from expected values).
-        let agg = work.iter().fold(
-            (
-                DlzsWork::default(),
-                SortWork::default(),
-                KvGenWork::default(),
-                SuFaWork::default(),
-            ),
-            |mut acc, w| {
-                acc.0.shift_ops += w.dlzs.shift_ops;
-                acc.0.lz_encodes += w.dlzs.lz_encodes;
-                acc.1.elements += w.sort.elements;
-                acc.2.macs += w.kvgen.macs;
-                acc.3.macs += w.sufa.macs;
-                acc.3.exps += w.sufa.exps;
-                acc.3.divs += w.sufa.divs;
-                acc
-            },
-        );
-        let totals = StageCycles::from_work(cfg, &agg.0, &agg.1, &agg.2, &agg.3, util);
+        // Aggregate work per stage: the analytic model's fold.
+        let (dlzs, sort, kvgen, sufa) = sum_work(work);
+        let totals = StageCycles::from_work(cfg, &dlzs, &sort, &kvgen, &sufa, util);
         let stage_totals = [
             totals.prediction,
             totals.sorting,

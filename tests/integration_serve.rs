@@ -65,10 +65,10 @@ fn dram_traffic_is_conserved_across_concurrent_requests() {
         .iter()
         .map(|spec| task_of(spec, &cfg))
         .collect();
-    let per_request = accel.request_descriptors(&tasks, &[]);
-    let want: u64 = per_request
+    let want: u64 = tasks
         .iter()
-        .flat_map(|stream| stream.iter().map(|w| w.total_dram_bytes()))
+        .flat_map(|task| accel.tile_descriptors(task, None))
+        .map(|w| w.total_dram_bytes())
         .sum();
     assert_eq!(report.multi.dram.total_bytes(), want);
 }
@@ -203,10 +203,10 @@ fn retry_rearrivals_preserve_dram_byte_conservation() {
             AttentionTask::at_layer(spec.queries, spec.seq_len, spec.hidden, spec.heads, &op, 0)
         })
         .collect();
-    let per_request = accel.request_descriptors(&tasks, &[]);
-    let want: u64 = per_request
+    let want: u64 = tasks
         .iter()
-        .flat_map(|stream| stream.iter().map(|w| w.total_dram_bytes()))
+        .flat_map(|task| accel.tile_descriptors(task, None))
+        .map(|w| w.total_dram_bytes())
         .sum();
     assert_eq!(report.multi.dram.total_bytes(), want);
 }
