@@ -1,5 +1,7 @@
 //! Lightweight plain-text table reporting used by every experiment.
 
+use sofa_obs::metrics::json_string;
+
 /// A simple column-aligned table with a title.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Table {
@@ -104,26 +106,6 @@ impl Table {
                 .join(",")
         )
     }
-}
-
-/// Escapes `s` as a JSON string literal (shared with the `sofa-harness`
-/// results writer).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Serialises several tables as one JSON array.

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation reports computation savings "with 0 %/1 %/2 %
 //! accuracy loss". Without the original checkpoints and datasets we use a
-//! proxy (documented in `DESIGN.md`): the loss of a sparse configuration is
+//! proxy: the loss of a sparse configuration is
 //! `1 − mean row-wise cosine similarity` between the sparse attention output
 //! and the dense reference. The proxy is monotone in the same direction as
 //! task accuracy — keeping fewer Q-K pairs can only move the output further

@@ -259,15 +259,14 @@ impl SofaPipeline {
 
     /// Runs the pipeline on a batch of independent workloads — one serving
     /// request each — at a **single-layer** operating point, returning one
-    /// result per workload in input order. For multi-layer points use
-    /// [`SofaPipeline::run_layers`]; keeping the two entry points separate
-    /// means a layer count that happens to match the batch length can never
-    /// silently change what a call computes. Schemes come from this
-    /// pipeline ([`SofaPipeline::at_layer`]).
+    /// result per workload in input order. The point is broadcast to every
+    /// workload, so a multi-layer point is rejected rather than silently
+    /// read as one layer per workload. Schemes come from this pipeline
+    /// ([`SofaPipeline::at_layer`]).
     ///
     /// From the results, [`PipelineResult::tile_selection_stats`] and
-    /// `sofa_hw::SofaAccelerator::request_descriptors` produce per-request
-    /// tile descriptor streams for multi-instance cycle simulation. (The
+    /// `sofa_hw::SofaAccelerator::tile_descriptors` produce per-request tile
+    /// descriptor streams for multi-instance cycle simulation. (The
     /// `sofa-serve` experiments lower requests from expected-value
     /// statistics instead, trading mask fidelity for sweep speed.)
     ///
@@ -286,54 +285,13 @@ impl SofaPipeline {
         op: &OperatingPoint,
         workloads: &[AttentionWorkload],
     ) -> Vec<PipelineResult> {
-        assert_eq!(
-            op.layers(),
-            1,
-            "run_batch broadcasts a single-layer point; use run_layers for \
-             per-layer lowering"
-        );
-        self.run_mapped(op, workloads, |_| 0)
-    }
-
-    /// Runs one workload per layer of `op`, workload `i` at layer `i`'s
-    /// keep ratio and tile size — the per-layer lowering path of a
-    /// multi-layer request, switching the operating point between layer
-    /// invocations. Same parallelism and determinism guarantees as
-    /// [`SofaPipeline::run_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload count differs from `op`'s layer count.
-    pub fn run_layers(
-        &self,
-        op: &OperatingPoint,
-        layer_workloads: &[AttentionWorkload],
-    ) -> Vec<PipelineResult> {
-        assert_eq!(
-            layer_workloads.len(),
-            op.layers(),
-            "run_layers needs exactly one workload per layer"
-        );
-        self.run_mapped(op, layer_workloads, |i| i)
-    }
-
-    /// Shared fan-out of `run_batch`/`run_layers`: workload `i` runs at
-    /// layer `layer_of(i)` of `op`, one scratch per worker.
-    fn run_mapped(
-        &self,
-        op: &OperatingPoint,
-        workloads: &[AttentionWorkload],
-        layer_of: impl Fn(usize) -> usize + Sync,
-    ) -> Vec<PipelineResult> {
-        sofa_par::par_chunks(workloads, |start, chunk| {
+        assert_eq!(op.layers(), 1, "run_batch broadcasts a single-layer point");
+        let pipeline = self.at_layer(op, 0);
+        sofa_par::par_chunks(workloads, |_, chunk| {
             let mut scratch = RunScratch::new();
             chunk
                 .iter()
-                .enumerate()
-                .map(|(offset, w)| {
-                    self.at_layer(op, layer_of(start + offset))
-                        .run_with_scratch(w, &mut scratch)
-                })
+                .map(|w| pipeline.run_with_scratch(w, &mut scratch))
                 .collect()
         })
     }
@@ -539,31 +497,6 @@ mod tests {
         // Each entry exports its own per-tile selection stats.
         let stats = batch[1].tile_selection_stats(16);
         assert_eq!(stats.num_tiles(), 64 / 16);
-    }
-
-    #[test]
-    fn multi_layer_points_switch_keep_and_tile_between_layers() {
-        // A two-layer point must run workload i at layer i's configuration —
-        // identical to building that layer's pipeline by hand.
-        let workloads = [workload(), workload()];
-        let op = OperatingPoint::new(vec![0.1, 0.4], vec![8, 32]).unwrap();
-        let pipeline = SofaPipeline::new(PipelineConfig::new(0.25, 16).unwrap());
-        let batch = pipeline.run_layers(&op, &workloads);
-        for (layer, r) in batch.iter().enumerate() {
-            let solo =
-                SofaPipeline::new(PipelineConfig::for_layer(&op, layer)).run(&workloads[layer]);
-            assert_eq!(r.output, solo.output, "layer {layer}");
-            assert_eq!(r.mask, solo.mask, "layer {layer}");
-        }
-        // Distinct layers really saw distinct operating points.
-        assert_ne!(batch[0].mask, batch[1].mask);
-    }
-
-    #[test]
-    #[should_panic(expected = "one workload per layer")]
-    fn run_layers_rejects_mismatched_batches() {
-        let pipeline = SofaPipeline::new(PipelineConfig::new(0.25, 16).unwrap());
-        let _ = pipeline.run_layers(&OperatingPoint::paper_default(3), &[workload()]);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 
 use crate::predicate::{evaluate, EvalContext, Verdict};
 use crate::spec::{ArtifactSpec, Spec};
-use sofa_bench::report::{json_string, tables_to_json};
+use sofa_bench::report::tables_to_json;
 use sofa_bench::{registry, ExperimentOutput};
+use sofa_obs::metrics::json_string;
 use std::panic::catch_unwind;
 use std::path::{Path, PathBuf};
 

@@ -4,7 +4,7 @@
 //! a cycle-level simulator fed by Verilator traces, CACTI SRAM models and
 //! Ramulator DRAM models. This crate substitutes that stack with analytical
 //! module models whose constants come from the published breakdowns
-//! (Table III/IV) — see `DESIGN.md` for the substitution rationale.
+//! (Table III/IV).
 //!
 //! * [`config`] — hardware configuration (PE array shapes, SRAM sizes, clock,
 //!   DRAM interface) defaulting to the paper's design point.
@@ -15,6 +15,9 @@
 //!   the KV-generation PEs and the SU-FA systolic engine.
 //! * [`rass`] — the Reuse-Aware Schedule Scheme (KV out-of-order execution)
 //!   and its naive left-to-right baseline.
+//! * [`descriptor`] — per-tile work and DRAM traffic of the cross-stage
+//!   tiled pipeline: the one work model the analytic accelerator sums and
+//!   the cycle-level simulator replays.
 //! * [`accel`] — the end-to-end accelerator model: tiled-pipeline execution of
 //!   the four stages, plus a whole-row (non-tiled) mode that models the
 //!   prior-work dynamic sparsity accelerators.

@@ -126,6 +126,46 @@ fn chunk_bounds(n: usize, workers: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
+/// Runs `f(start, chunk)` over pre-split contiguous chunks and concatenates
+/// the per-chunk results in chunk order. Tail chunks go to scoped workers;
+/// the head chunk runs on the calling thread concurrently with them, so a
+/// region of `w` chunks costs `w - 1` thread spawns and the caller is never
+/// idle. Every chunk runs inside a parallel region, so nested calls degrade
+/// to sequential.
+fn fan_out<C, U, F>(n: usize, chunks: Vec<(usize, C)>, f: F) -> Vec<U>
+where
+    C: Send,
+    U: Send,
+    F: Fn(usize, C) -> Vec<U> + Sync,
+{
+    let mut chunks = chunks.into_iter();
+    let (head_start, head) = chunks.next().expect("at least one chunk");
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = chunks
+            .map(|(start, chunk)| {
+                scope.spawn(move || {
+                    let _guard = RegionGuard::enter();
+                    f(start, chunk)
+                })
+            })
+            .collect();
+        let head_out = {
+            let _guard = RegionGuard::enter();
+            f(head_start, head)
+        };
+        let mut out = Vec::with_capacity(n);
+        out.extend(head_out);
+        for h in handles {
+            match h.join() {
+                Ok(chunk) => out.extend(chunk),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
+}
+
 /// Maps `f` over `0..n`, returning results in index order.
 ///
 /// Deterministic: equal to `(0..n).map(f).collect()` whenever `f(i)` depends
@@ -140,35 +180,11 @@ where
     if threads <= 1 || n <= 1 || in_parallel_region() {
         return (0..n).map(f).collect();
     }
-    let bounds = chunk_bounds(n, threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        // Tail chunks go to spawned workers; the head chunk runs on the
-        // calling thread concurrently with them, so a region of `w` chunks
-        // costs `w - 1` thread spawns and the caller is never idle.
-        let handles: Vec<_> = bounds[1..]
-            .iter()
-            .map(|&(lo, hi)| {
-                scope.spawn(move || {
-                    let _guard = RegionGuard::enter();
-                    (lo..hi).map(f).collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        let head: Vec<U> = {
-            let _guard = RegionGuard::enter();
-            (bounds[0].0..bounds[0].1).map(f).collect()
-        };
-        let mut out = Vec::with_capacity(n);
-        out.extend(head);
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => out.extend(chunk),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
+    let chunks = chunk_bounds(n, threads)
+        .into_iter()
+        .map(|(lo, hi)| (lo, lo..hi))
+        .collect();
+    fan_out(n, chunks, |_, range| range.map(&f).collect())
 }
 
 /// Maps `f` over `items`, returning one result per item in input order.
@@ -214,34 +230,7 @@ where
     if threads <= 1 || n <= 1 || in_parallel_region() {
         return run_chunk(0, n);
     }
-    let bounds = chunk_bounds(n, threads);
-    std::thread::scope(|scope| {
-        let run_chunk = &run_chunk;
-        // As in `par_map_index`: tail chunks on workers, head chunk on the
-        // calling thread.
-        let handles: Vec<_> = bounds[1..]
-            .iter()
-            .map(|&(lo, hi)| {
-                scope.spawn(move || {
-                    let _guard = RegionGuard::enter();
-                    run_chunk(lo, hi)
-                })
-            })
-            .collect();
-        let head = {
-            let _guard = RegionGuard::enter();
-            run_chunk(bounds[0].0, bounds[0].1)
-        };
-        let mut out = Vec::with_capacity(n);
-        out.extend(head);
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => out.extend(chunk),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
+    fan_out(n, chunk_bounds(n, threads), run_chunk)
 }
 
 /// Maps `f` over the items of a mutable slice in place, returning one
@@ -268,43 +257,21 @@ where
             .map(|(i, item)| f(i, item))
             .collect();
     }
-    let bounds = chunk_bounds(n, threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        // Head chunk on the calling thread, tail chunks on scoped workers —
-        // the same layout as `par_map_index`.
-        let (head, mut tail) = items.split_at_mut(bounds[0].1);
-        let handles: Vec<_> = bounds[1..]
-            .iter()
-            .map(|&(lo, hi)| {
-                let (chunk, rest) = std::mem::take(&mut tail).split_at_mut(hi - lo);
-                tail = rest;
-                scope.spawn(move || {
-                    let _guard = RegionGuard::enter();
-                    chunk
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(off, item)| f(lo + off, item))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        let head_out: Vec<U> = {
-            let _guard = RegionGuard::enter();
-            head.iter_mut()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect()
-        };
-        let mut out = Vec::with_capacity(n);
-        out.extend(head_out);
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => out.extend(chunk),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
+    let mut rest = items;
+    let chunks = chunk_bounds(n, threads)
+        .into_iter()
+        .map(|(lo, hi)| {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+            rest = tail;
+            (lo, chunk)
+        })
+        .collect();
+    fan_out(n, chunks, |lo, chunk: &mut [T]| {
+        chunk
+            .iter_mut()
+            .enumerate()
+            .map(|(off, item)| f(lo + off, item))
+            .collect()
     })
 }
 
