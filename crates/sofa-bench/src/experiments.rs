@@ -1567,8 +1567,8 @@ fn best_wall_seconds<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// `routed_hit_rate` / `adaptive_hit_rate` must stay above
 /// `hit_rate_floor` (the traces draw from a small set of benchmark-derived
 /// shapes, so most lowerings must be cache hits), while `wall_seconds` is
-/// only held to a generous `wall_time_budget` so slow CI machines don't
-/// flake.
+/// only held to a `wall_time_budget` far above the measured time so slow
+/// CI machines don't flake.
 pub fn perf_lowering() -> crate::ExperimentOutput {
     let report = dse_pareto_report();
     let controller = serve_adaptive_controller();
@@ -1616,7 +1616,7 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
 ///
 /// `hit_rate` is the hard gate input (a million requests draw from a small
 /// shape set, so per-node lowering must be almost entirely cache hits);
-/// the wall budget is generous and advisory.
+/// the wall budget is about 3× the measured time and advisory.
 pub fn perf_fleet_mega() -> crate::ExperimentOutput {
     let trace = fleet_trace(1_000_000, 400.0, 31);
     let cfg = fleet_config(8, 8);

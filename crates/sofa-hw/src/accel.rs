@@ -13,7 +13,7 @@
 //! token parallelism (Fig. 3).
 
 use crate::config::HwConfig;
-use crate::descriptor::sum_work;
+use crate::descriptor::{sum_work, TileWork};
 use crate::energy::{compute_energy_j, EnergyBreakdown};
 use crate::engines::{
     dlzs_cycles, kvgen_cycles, sads_cycles, sufa_cycles, DlzsWork, KvGenWork, SortWork, SuFaWork,
@@ -281,10 +281,17 @@ impl SofaAccelerator {
     /// descriptors ([`SofaAccelerator::tile_descriptors`]), pipelined and
     /// priced.
     pub fn simulate(&self, task: &AttentionTask) -> SimReport {
+        self.simulate_tiles(task, &self.tile_descriptors(task, None))
+    }
+
+    /// Simulates `task` from tile descriptors the caller already holds (its
+    /// [`SofaAccelerator::tile_descriptors`]): the tiles' summed work and
+    /// traffic, pipelined and priced. Lets a caller that lowers a task to
+    /// tiles price it without building the descriptors a second time.
+    pub fn simulate_tiles(&self, task: &AttentionTask, work: &[TileWork]) -> SimReport {
         let cfg = &self.cfg;
         let util = task.line_utilization(cfg.query_parallelism);
-        let work = self.tile_descriptors(task, None);
-        let (dlzs, sort, kvgen, sufa) = sum_work(&work);
+        let (dlzs, sort, kvgen, sufa) = sum_work(work);
         let cycles = StageCycles::from_work(cfg, &dlzs, &sort, &kvgen, &sufa, util);
 
         // ---- Pipelining ---------------------------------------------------
@@ -304,7 +311,7 @@ impl SofaAccelerator {
             cfg.dram_pj_per_bit,
             cfg.interface_pj_per_bit,
         );
-        for w in &work {
+        for w in work {
             dram.read(w.pred_read_bytes + w.kv_read_bytes + w.extra_formal_read_bytes);
             dram.write(w.write_bytes);
         }

@@ -711,7 +711,7 @@ fn lower_at(
         );
         let job = csim.job(&task, None);
         let requests = job.dram_requests();
-        let analytic = csim.accel.simulate(&task);
+        let analytic = csim.accel.simulate_tiles(&task, &job.work);
         energy_pj += analytic.energy.total_j() * 1e12 + requests as f64 * DRAM_ACTIVATION_PJ;
         let kept_pairs = if cfg.predicted_footprint {
             task.k() as u64

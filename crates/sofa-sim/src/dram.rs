@@ -23,6 +23,13 @@
 //! turns, which under multi-instance sharing turns into tail-latency
 //! outliers for whole requests.
 //!
+//! The aging pick reads one contiguous array of head stamps — per port, the
+//! enqueue cycle of the request at the head of its queue, `u64::MAX` while
+//! the port is empty — instead of walking the port queues. Per-port stamps
+//! never decrease, so each head is its port's oldest request and the oldest
+//! pending request overall is the smallest head stamp (the lowest port on a
+//! tie). If that request has not aged, no request has.
+//!
 //! This is the contention the analytic model's `max(compute, memory)` folds
 //! away — and the reason the cycle simulator can report *which* stage was
 //! starved.
@@ -105,6 +112,9 @@ pub struct DramChannel {
     /// (`u64::MAX` disables aging).
     age_threshold: u64,
     queues: Vec<VecDeque<(DramRequest, u64)>>,
+    /// Per port, the enqueue stamp of the head request (`u64::MAX` while the
+    /// port is empty) — the aging pick scans this array, not the queues.
+    head_at: Vec<u64>,
     /// One bit per port, set while the port's queue is non-empty — the
     /// round-robin pick reads these words instead of touching every queue.
     nonempty: Vec<u64>,
@@ -113,7 +123,7 @@ pub struct DramChannel {
     /// Lower bound on the oldest queued request's enqueue stamp
     /// (`u64::MAX` when provably nothing is queued). Lets [`Self::try_issue`]
     /// skip the aging scan while no head can have reached the threshold;
-    /// tightened back to the exact minimum whenever a scan comes up empty.
+    /// every scan sets it to the exact head minimum.
     oldest_pending: u64,
     next_port: usize,
     busy: bool,
@@ -174,6 +184,7 @@ impl DramChannel {
             command_cycles,
             age_threshold,
             queues: (0..ports).map(|_| VecDeque::new()).collect(),
+            head_at: vec![u64::MAX; ports],
             nonempty: vec![0; ports.div_ceil(64)],
             queued: 0,
             oldest_pending: u64::MAX,
@@ -189,14 +200,25 @@ impl DramChannel {
     }
 
     /// Queues a request on its port, stamping the enqueue time for aging and
-    /// queueing-delay accounting.
+    /// queueing-delay accounting. A port's stamps must not decrease
+    /// (requests arrive in simulated-time order), which keeps each queue's
+    /// head its oldest entry.
     ///
     /// # Panics
     ///
     /// Panics if the request's port does not exist.
     pub fn enqueue(&mut self, req: DramRequest, now: u64) {
         assert!(req.port < self.queues.len(), "no such DRAM port");
-        self.queues[req.port].push_back((req, now));
+        let queue = &mut self.queues[req.port];
+        debug_assert!(
+            queue.back().is_none_or(|&(_, at)| at <= now),
+            "DRAM port {} enqueue stamps went backwards",
+            req.port
+        );
+        if queue.is_empty() {
+            self.head_at[req.port] = now;
+        }
+        queue.push_back((req, now));
         self.nonempty[req.port / 64] |= 1 << (req.port % 64);
         self.queued += 1;
         self.oldest_pending = self.oldest_pending.min(now);
@@ -206,35 +228,25 @@ impl DramChannel {
     /// the longest wait among those at or beyond the threshold, ties broken
     /// by port index so arbitration stays deterministic.
     ///
-    /// Per-port enqueue stamps are nondecreasing (requests arrive in
-    /// simulated-time order), so each queue's head is its oldest entry and
-    /// the global oldest pending request is the minimum over heads. The
-    /// `oldest_pending` lower bound therefore proves, without touching the
-    /// queues, that no head can have aged yet; a scan that finds nothing
-    /// aged tightens the bound back to the exact head minimum.
+    /// The longest wait is the smallest head stamp, so one min-scan over
+    /// `head_at` (first port on ties) finds the candidate, and if it has not
+    /// aged no head has. The scan stores the exact minimum in
+    /// `oldest_pending`; while `now` is within the threshold of that lower
+    /// bound, no head can have aged and the scan is skipped.
     fn aged_port(&mut self, now: u64) -> Option<usize> {
         if self.age_threshold == u64::MAX
             || now.saturating_sub(self.oldest_pending) < self.age_threshold
         {
             return None;
         }
-        let picked = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter_map(|(p, q)| q.front().map(|&(_, at)| (p, now.saturating_sub(at))))
-            .filter(|&(_, wait)| wait >= self.age_threshold)
-            .max_by_key(|&(p, wait)| (wait, std::cmp::Reverse(p)))
-            .map(|(p, _)| p);
-        if picked.is_none() {
-            self.oldest_pending = self
-                .queues
-                .iter()
-                .filter_map(|q| q.front().map(|&(_, at)| at))
-                .min()
-                .unwrap_or(u64::MAX);
+        let (mut port, mut oldest) = (0, u64::MAX);
+        for (p, &at) in self.head_at.iter().enumerate() {
+            if at < oldest {
+                (port, oldest) = (p, at);
+            }
         }
-        picked
+        self.oldest_pending = oldest;
+        (now.saturating_sub(oldest) >= self.age_threshold).then_some(port)
     }
 
     /// First port with queued work in cyclic order starting at `start`,
@@ -279,8 +291,12 @@ impl DramChannel {
         };
         let port = pick?;
         let (req, enqueued_at) = self.queues[port].pop_front().expect("picked port has work");
-        if self.queues[port].is_empty() {
-            self.nonempty[port / 64] &= !(1 << (port % 64));
+        match self.queues[port].front() {
+            Some(&(_, at)) => self.head_at[port] = at,
+            None => {
+                self.head_at[port] = u64::MAX;
+                self.nonempty[port / 64] &= !(1 << (port % 64));
+            }
         }
         self.queued -= 1;
         self.next_port = (port + 1) % ports;
@@ -460,6 +476,26 @@ mod tests {
         // Equal waits: the lowest port index is served first.
         let second = ch.try_issue(100).unwrap();
         assert_eq!(second.request.port, 2);
+    }
+
+    #[test]
+    fn same_stamp_aged_heads_go_lowest_port_first_then_round_robin_resumes() {
+        let mut ch = DramChannel::with_aging(4, 1.0, 0, 10);
+        // Ports 2 and 1 enqueue in the same cycle; ports 3 and 0 arrive
+        // later and stay below the threshold.
+        ch.enqueue(req(2, 0, 1), 0);
+        ch.enqueue(req(1, 0, 1), 0);
+        ch.enqueue(req(3, 0, 1), 95);
+        ch.enqueue(req(0, 0, 1), 95);
+        let mut order = Vec::new();
+        for now in [100, 100, 101, 102] {
+            order.push(ch.try_issue(now).unwrap().request.port);
+            ch.release();
+        }
+        // Both aged heads tie on their stamp: port 1 before port 2, then the
+        // rotation continues after port 2 rather than from port 0.
+        assert_eq!(order, vec![1, 2, 3, 0]);
+        assert_eq!(ch.aged_issues(), 2);
     }
 
     #[test]

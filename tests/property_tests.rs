@@ -8,11 +8,13 @@ use sofa_core::ops::{OpCounts, OpKind};
 use sofa_core::sads::{sads_topk_row, SadsConfig};
 use sofa_core::sufa::{sorted_updating_attention, SuFaOrder};
 use sofa_core::topk::{topk_exact, topk_row_exact, TopKMask};
+use sofa_sim::dram::{DramChannel, DramRequest, Issued};
 use sofa_tensor::attention::{attention_scores, masked_attention};
 use sofa_tensor::fixed::{packed_bytes, Quantized};
 use sofa_tensor::softmax::softmax_row;
 use sofa_tensor::stats::{max_abs_diff, recall};
 use sofa_tensor::Matrix;
+use std::collections::VecDeque;
 
 fn finite_row(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-50.0f32..50.0, 1..max_len)
@@ -163,6 +165,108 @@ fn seeded_matrix(
 
 fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Brute-force reference for `sofa_sim::dram::DramChannel`: per-port
+/// queues, round-robin by walking the ports in cyclic order, and the aging
+/// pick as the channel ran it before it kept head stamps — a scan of every
+/// queue's head for the longest wait at or beyond the threshold, lowest port
+/// on ties.
+struct ReferenceDram {
+    bytes_per_cycle: f64,
+    burst_latency: u64,
+    command_cycles: u64,
+    age_threshold: u64,
+    queues: Vec<VecDeque<(DramRequest, u64)>>,
+    next_port: usize,
+    busy: bool,
+    bytes_read: u64,
+    bytes_written: u64,
+    aged_issues: u64,
+    queue_wait_cycles: u64,
+    issued_requests: u64,
+}
+
+impl ReferenceDram {
+    fn new(
+        ports: usize,
+        bytes_per_cycle: f64,
+        burst_latency: u64,
+        age_threshold: u64,
+        command_cycles: u64,
+    ) -> Self {
+        ReferenceDram {
+            bytes_per_cycle,
+            burst_latency,
+            command_cycles,
+            age_threshold,
+            queues: vec![VecDeque::new(); ports],
+            next_port: 0,
+            busy: false,
+            bytes_read: 0,
+            bytes_written: 0,
+            aged_issues: 0,
+            queue_wait_cycles: 0,
+            issued_requests: 0,
+        }
+    }
+
+    fn enqueue(&mut self, req: DramRequest, now: u64) {
+        self.queues[req.port].push_back((req, now));
+    }
+
+    fn aged_port(&self, now: u64) -> Option<usize> {
+        if self.age_threshold == u64::MAX {
+            return None;
+        }
+        self.queues
+            .iter()
+            .enumerate()
+            .filter_map(|(p, q)| q.front().map(|&(_, at)| (p, now.saturating_sub(at))))
+            .filter(|&(_, wait)| wait >= self.age_threshold)
+            .max_by_key(|&(p, wait)| (wait, std::cmp::Reverse(p)))
+            .map(|(p, _)| p)
+    }
+
+    fn try_issue(&mut self, now: u64) -> Option<Issued> {
+        if self.busy {
+            return None;
+        }
+        let ports = self.queues.len();
+        let port = match self.aged_port(now) {
+            Some(aged) => {
+                self.aged_issues += 1;
+                aged
+            }
+            None => (0..ports)
+                .map(|k| (self.next_port + k) % ports)
+                .find(|&p| !self.queues[p].is_empty())?,
+        };
+        let (req, enqueued_at) = self.queues[port].pop_front().expect("picked port has work");
+        self.next_port = (port + 1) % ports;
+        let transfer =
+            self.command_cycles + (req.bytes as f64 / self.bytes_per_cycle).ceil() as u64;
+        self.busy = true;
+        self.queue_wait_cycles += now.saturating_sub(enqueued_at);
+        self.issued_requests += 1;
+        if req.write {
+            self.bytes_written += req.bytes;
+        } else {
+            self.bytes_read += req.bytes;
+        }
+        Some(Issued {
+            request: req,
+            free_at: now + transfer,
+            done_at: now + transfer + self.burst_latency,
+        })
+    }
+
+    fn mean_queue_wait(&self) -> f64 {
+        if self.issued_requests == 0 {
+            return 0.0;
+        }
+        self.queue_wait_cycles as f64 / self.issued_requests as f64
+    }
 }
 
 proptest! {
@@ -536,6 +640,83 @@ proptest! {
         prop_assert!(fleet.prefills as usize <= arrived(RequestClass::Prefill));
         prop_assert!(fleet.decodes as usize <= arrived(RequestClass::Decode));
         prop_assert_eq!(fleet.served + fleet.shed, trace.len() as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // ---------------- DRAM arbitration (sofa-sim::dram) ----------------
+
+    /// The head-stamp aging pick issues exactly what the full queue scan
+    /// would, across port counts on both sides of the bitmask's 64-port
+    /// words, aging off / always / typical / at once, and with and without
+    /// command occupancy. Zero time gaps make same-cycle bursts, so aged
+    /// heads tie on their stamp.
+    #[test]
+    fn dram_arbitration_matches_the_queue_scan_reference(
+        ops in prop::collection::vec(
+            (0usize..6, 0usize..1_000, 0usize..8, 0u64..3_000),
+            1..300,
+        ),
+    ) {
+        const GAPS: [u64; 8] = [0, 0, 0, 0, 1, 2, 64, 300];
+        for ports in [1usize, 3, 4, 63, 64, 65, 130] {
+            for age_threshold in [0u64, 1, 256, u64::MAX] {
+                for command_cycles in [0u64, 32] {
+                    let mut fast =
+                        DramChannel::with_timing(ports, 64.0, 20, age_threshold, command_cycles);
+                    let mut reference =
+                        ReferenceDram::new(ports, 64.0, 20, age_threshold, command_cycles);
+                    let mut now = 0u64;
+                    let mut free_at = 0u64;
+                    for (tile, &(kind, port, gap, bytes)) in ops.iter().enumerate() {
+                        now += GAPS[gap];
+                        match kind {
+                            0..=2 => {
+                                let req = DramRequest {
+                                    port: port % ports,
+                                    stage: port % 4,
+                                    tile,
+                                    bytes,
+                                    write: kind == 2,
+                                };
+                                fast.enqueue(req, now);
+                                reference.enqueue(req, now);
+                            }
+                            3 | 4 => {
+                                let issued = fast.try_issue(now);
+                                prop_assert_eq!(issued, reference.try_issue(now), "cycle {}", now);
+                                if let Some(issued) = issued {
+                                    free_at = issued.free_at;
+                                }
+                            }
+                            _ => {
+                                fast.release();
+                                reference.busy = false;
+                            }
+                        }
+                    }
+                    // Drain: release at each free_at and issue the next.
+                    while fast.is_active() {
+                        now = now.max(free_at);
+                        fast.release();
+                        reference.busy = false;
+                        let issued = fast.try_issue(now);
+                        prop_assert_eq!(issued, reference.try_issue(now), "cycle {}", now);
+                        free_at = issued.map_or(now, |i| i.free_at);
+                    }
+                    prop_assert!(reference.queues.iter().all(VecDeque::is_empty));
+                    prop_assert_eq!(fast.aged_issues(), reference.aged_issues);
+                    prop_assert_eq!(
+                        fast.mean_queue_wait().to_bits(),
+                        reference.mean_queue_wait().to_bits()
+                    );
+                    prop_assert_eq!(fast.bytes_read(), reference.bytes_read);
+                    prop_assert_eq!(fast.bytes_written(), reference.bytes_written);
+                }
+            }
+        }
     }
 }
 
